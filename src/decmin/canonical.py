@@ -6,6 +6,7 @@ certificate, optimal dual vectors).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,11 +21,10 @@ from .core import (
     as_intvec,
     effective_oracle,
     is_member,
-    iter_masks,
     mask_of,
     smallest_tight_set,
 )
-from .engine import is_decmin, strongly_poly_decmin
+from .engine import strongly_poly_decmin, tightening_pair
 
 
 class NotDecMinError(ValueError):
@@ -121,98 +121,72 @@ class CanonicalDecomposition:
         )
 
 
-def _contracted_value(eff: SetFunctionOracle, witness, prev_mask: int, xmask: int):
-    """p_i(X) = p(X u C_{i-1}) - p(C_{i-1}); the tight prefix value is read
-    off the witness instead of a second oracle call."""
-    base = int(sum(witness[v] for v in range(eff.n) if prev_mask >> v & 1))
-    v = eff.value(xmask | prev_mask)
-    if v == NEG_INF:
-        return NEG_INF
-    return v - base
+def _value_fixed(m, tight, si, beta) -> frozenset:
+    """F_i: the elements s of S_i with m(s) = beta_i whose smallest tight
+    set meets S_i only in beta_i-valued elements.  T_m(s) n S_i is the
+    smallest X in S_i with beta_i |X| = p_i(X) that contains s, if any."""
+    return frozenset(
+        s for s in si if m[s] == beta and all(m[v] == beta for v in tight(s) & si)
+    )
 
 
 def value_fixed_set(D: CanonicalDecomposition, B: BaseHandle, i: int) -> frozenset:
     """F_i: the largest X inside S_i with beta_i |X| = p_i(X); its elements
     take the value beta_i in every dec-min element."""
-    eff = effective_oracle(B)
-    block = sorted(D.partition[i])
-    beta = D.betas[i]
-    prev_mask = mask_of(D.chain[i - 1]) if i > 0 else 0
-    out = set()
-    for sub in iter_masks(len(block)):
-        xmask = 0
-        size = 0
-        for j, v in enumerate(block):
-            if sub >> j & 1:
-                xmask |= 1 << v
-                size += 1
-        if size == 0:
-            continue
-        if _contracted_value(eff, D.witness, prev_mask, xmask) == beta * size:
-            out |= {v for j, v in enumerate(block) if sub >> j & 1}
-    return frozenset(out)
+    m = D.witness
+    return _value_fixed(
+        m, lambda u: smallest_tight_set(B, m, u), D.partition[i], D.betas[i]
+    )
 
 
-def canonical_from_decmin(
-    B: BaseHandle, m, check: bool = True
-) -> CanonicalDecomposition:
-    """Read the canonical chain, partition and essential value-sequence off
-    a dec-min element: beta_i is the next largest value outside C_{i-1} and
-    C_i is the smallest m-tight set containing every element of value at
-    least beta_i.  The output does not depend on which dec-min element is
-    supplied."""
-    m = as_intvec(m, B.n)
-    if check:
-        if not is_member(B, m):
-            raise NotDecMinError("element is not in the M-convex set")
-        ok, witness = is_decmin(B, m)
-        if not ok:
-            raise NotDecMinError(f"element admits a 1-tightening step {witness}")
-    n = B.n
-    tight_cache = {}
-
-    def tight(u):
-        if u not in tight_cache:
-            tight_cache[u] = smallest_tight_set(B, m, u)
-        return tight_cache[u]
-
-    chain = []
-    partition = []
-    betas = []
-    counts = []
+def canonical_from_tight_sets(m, tight) -> CanonicalDecomposition:
+    """Read the canonical decomposition off a dec-min element m, given its
+    smallest m-tight sets tight(u): beta_i is the next largest value outside
+    C_{i-1} and C_i is the union of tight(u) over the elements u of value at
+    least beta_i."""
+    n = len(m)
+    chain, partition, betas, counts, value_fixed = [], [], [], [], []
+    delta = np.zeros(n, dtype=np.int64)
     covered = frozenset()
     while len(covered) < n:
         beta = max(int(m[v]) for v in range(n) if v not in covered)
-        members = set()
-        for u in range(n):
-            if m[u] >= beta:
-                members |= tight(u)
-        ci = frozenset(members)
+        ci = frozenset().union(*(tight(u) for u in range(n) if m[u] >= beta))
         si = ci - covered
         betas.append(beta)
         chain.append(ci)
         partition.append(si)
         counts.append(sum(1 for v in si if m[v] == beta))
+        value_fixed.append(_value_fixed(m, tight, si, beta))
+        delta[list(si)] = beta - 1
         covered = ci
-    delta = np.zeros(n, dtype=np.int64)
-    pi = np.zeros(n, dtype=np.int64)
-    for i, si in enumerate(partition):
-        for v in si:
-            delta[v] = betas[i] - 1
-            pi[v] = 2 * betas[i] - 1
-    D = CanonicalDecomposition(
+    return CanonicalDecomposition(
         n=n,
         chain=chain,
         partition=partition,
         betas=betas,
         counts=counts,
         delta_star=delta,
-        pi_star=pi,
-        value_fixed=[],
+        pi_star=2 * delta + 1,
+        value_fixed=value_fixed,
         witness=m.copy(),
     )
-    D.value_fixed = [value_fixed_set(D, B, i) for i in range(D.q)]
-    return D
+
+
+def canonical_from_decmin(
+    B: BaseHandle, m, check: bool = True
+) -> CanonicalDecomposition:
+    """Read the canonical chain, partition and essential value-sequence off
+    a dec-min element through its smallest tight sets.  The output does not
+    depend on which dec-min element is supplied."""
+    m = as_intvec(m, B.n)
+    tight = functools.cache(lambda u: smallest_tight_set(B, m, u))
+    if check:
+        if not is_member(B, m):
+            raise NotDecMinError("element is not in the M-convex set")
+        witness = tightening_pair(m, tight)
+        if witness is not None:
+            raise NotDecMinError(f"element admits a 1-tightening step {witness}")
+    return canonical_from_tight_sets(m, tight)
 
 
 def decmin_set_membership(D: CanonicalDecomposition, B: BaseHandle, m) -> bool:
@@ -323,24 +297,6 @@ def duality_gap(B: BaseHandle, m, pi) -> GapReport:
     return GapReport(w, lower, gap, o1, o2)
 
 
-def _tight_family(D, B, i):
-    """The members of F_i = {X in S_i : beta_i |X| = p_i(X)}, as masks over
-    sorted(S_i)."""
-    eff = effective_oracle(B)
-    block = sorted(D.partition[i])
-    beta = D.betas[i]
-    prev_mask = mask_of(D.chain[i - 1]) if i > 0 else 0
-    fam = []
-    for sub in iter_masks(len(block)):
-        if sub == 0:
-            continue
-        xmask = mask_of(block[j] for j in range(len(block)) if sub >> j & 1)
-        size = bin(sub).count("1")
-        if _contracted_value(eff, D.witness, prev_mask, xmask) == beta * size:
-            fam.append(frozenset(block[j] for j in range(len(block)) if sub >> j & 1))
-    return fam
-
-
 def verify_dual_optimal(D: CanonicalDecomposition, B: BaseHandle, pi) -> bool:
     """Test an integral vector against the full description of the optimal
     dual set: pi = 2 beta_i - 1 outside the value-fixed part, within
@@ -358,17 +314,12 @@ def verify_dual_optimal(D: CanonicalDecomposition, B: BaseHandle, pi) -> bool:
                     return False
             elif pi[v] != 2 * beta - 1:
                 return False
-        if not fi:
-            continue
-        family = _tight_family(D, B, i)
-        for s in fi:
-            for t in fi:
-                if s == t:
-                    continue
-                if any(t in x and s not in x for x in family):
-                    continue  # st is not an arc of D_i
-                if pi[s] - pi[t] < 0:
-                    return False
+        # st is an arc of D_i iff s lies in T_m(t): T_m(t) n S_i is the
+        # smallest X with beta_i |X| = p_i(X) containing t
+        for t in fi:
+            tight = smallest_tight_set(B, D.witness, t)
+            if any(pi[s] < pi[t] for s in fi & tight):
+                return False
     return True
 
 

@@ -303,50 +303,6 @@ class GraphInducedOracle(SetFunctionOracle):
         )
 
 
-class GraphCoverOracle(SetFunctionOracle):
-    """e_G: number of edges with at least one end in the set (submodular
-    complement of i_G)."""
-
-    kind = "graph-cover"
-
-    def __init__(self, n_nodes: int, edges: Sequence, weights=None):
-        super().__init__(n_nodes)
-        self._induced = GraphInducedOracle(n_nodes, edges, weights)
-
-    def value(self, mask: int):
-        full = self.full_mask
-        total = self._induced.value(full)
-        return total - self._induced.value(full & ~mask)
-
-
-class FlowOracle(SetFunctionOracle):
-    """p_fg(Z) = rho_f(Z) - delta_g(Z) for a digraph with arc bounds f <= g.
-
-    Fully supermodular; B'(p_fg) is the polyhedron of net-in-flow vectors.
-    """
-
-    kind = "flow-induced"
-
-    def __init__(self, n_nodes: int, arcs: Sequence, lower, upper):
-        super().__init__(n_nodes)
-        self.arcs = [(int(u), int(v)) for (u, v) in arcs]
-        self.lower = as_intvec(lower, len(self.arcs))
-        self.upper = as_intvec(upper, len(self.arcs))
-        if np.any(self.lower > self.upper):
-            raise ValueError("need lower <= upper on every arc")
-
-    def value(self, mask: int):
-        total = 0
-        for (u, v), f, g in zip(self.arcs, self.lower, self.upper):
-            tail_in = mask >> u & 1
-            head_in = mask >> v & 1
-            if head_in and not tail_in:
-                total += int(f)
-            elif tail_in and not head_in:
-                total -= int(g)
-        return total
-
-
 class RootVectorOracle(SetFunctionOracle):
     """p(X) = k - rho_D(X) for nonempty X (intersecting supermodular);
     integral points of B'(p) in the nonnegative orthant are exactly the

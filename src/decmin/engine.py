@@ -84,27 +84,33 @@ def initial_member(B: BaseHandle) -> np.ndarray:
     return pts.points[0].copy()
 
 
-def one_tightening(B: BaseHandle, m) -> Optional[tuple]:
-    """One 1-tightening step: (s, t, m') with m(t) >= m(s) + 2 and m' in the
-    set, or None iff m is dec-min.
+def tightening_pair(m, tight: Callable[[int], frozenset]) -> Optional[tuple]:
+    """The 1-tightening pair (s, t) with m(t) >= m(s) + 2 and s in the
+    smallest m-tight set tight(t) of t, or None iff m is dec-min.
 
     Targets t are scanned by decreasing m(t) (the
     highest-in-degree-end heuristic); for each t the smallest m-tight set
     answers every candidate s at once, and the smallest m(s) inside it wins.
     """
-    m = as_intvec(m, B.n)
-    order = sorted(range(B.n), key=lambda v: (-int(m[v]), v))
-    for t in order:
-        tight = smallest_tight_set(B, m, t)
-        cands = [s for s in tight if s != t and m[t] - m[s] >= 2]
-        if not cands:
-            continue
-        s = min(cands, key=lambda v: (int(m[v]), v))
-        m2 = m.copy()
-        m2[s] += 1
-        m2[t] -= 1
-        return s, t, m2
+    for t in sorted(range(len(m)), key=lambda v: (-int(m[v]), v)):
+        cands = [s for s in tight(t) if s != t and m[t] - m[s] >= 2]
+        if cands:
+            return min(cands, key=lambda v: (int(m[v]), v)), t
     return None
+
+
+def one_tightening(B: BaseHandle, m) -> Optional[tuple]:
+    """One 1-tightening step: (s, t, m') with m(t) >= m(s) + 2 and m' in the
+    set, or None iff m is dec-min."""
+    m = as_intvec(m, B.n)
+    pair = tightening_pair(m, lambda t: smallest_tight_set(B, m, t))
+    if pair is None:
+        return None
+    s, t = pair
+    m2 = m.copy()
+    m2[s] += 1
+    m2[t] -= 1
+    return s, t, m2
 
 
 def basic_decmin(B: BaseHandle, m0=None) -> np.ndarray:

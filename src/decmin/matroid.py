@@ -14,8 +14,11 @@ import numpy as np
 
 from .core import (
     BaseHandle,
+    NEG_INF,
     SetFunctionOracle,
     as_intvec,
+    effective_oracle,
+    mask_of,
     register_fast_path,
 )
 from .canonical import CanonicalDecomposition
@@ -204,6 +207,16 @@ def union_k_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
     return MatroidOracle(M.n, indep, f"{M.name}^union{k}")
 
 
+def _contracted_value(eff: SetFunctionOracle, witness, prev_mask: int, xmask: int):
+    """p_i(X) = p(X u C_{i-1}) - p(C_{i-1}); the tight prefix value is read
+    off the witness instead of a second oracle call."""
+    base = int(sum(witness[v] for v in range(eff.n) if prev_mask >> v & 1))
+    v = eff.value(xmask | prev_mask)
+    if v == NEG_INF:
+        return NEG_INF
+    return v - base
+
+
 def from_decomposition_matroid(
     D: CanonicalDecomposition, B: BaseHandle, i: int
 ) -> tuple:
@@ -214,9 +227,6 @@ def from_decomposition_matroid(
     maximum sets packed under the submodular budget
     b*(X) = beta_i |X| - p_i(X), so independence reduces to a dual rank
     query."""
-    from .canonical import _contracted_value  # shared helper
-    from .core import effective_oracle, mask_of
-
     eff = effective_oracle(B)
     block = sorted(D.partition[i])
     kk = len(block)

@@ -172,8 +172,8 @@ class FlowResult:
 
 
 def _excess_network(P: FlowProblem):
-    """Standard lower-bound transformation: returns (digraph arcs with caps
-    upper-lower, per-node demand d, source, sink, source arcs, sink arcs)."""
+    """Standard lower-bound transformation: returns the per-node demand
+    d = target - psi(lower) that a flow on caps upper - lower must meet."""
     D = P.digraph
     psi_f = np.zeros(D.n, dtype=np.int64)
     for (u, v), f in zip(D.arcs, P.lower):

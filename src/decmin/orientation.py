@@ -12,6 +12,7 @@ m + chi_s - chi_t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,8 @@ from .core import (
     as_intvec,
     register_fast_path,
 )
-from .canonical import CanonicalDecomposition
+from .canonical import CanonicalDecomposition, canonical_from_tight_sets
+from .engine import tightening_pair
 from .netflow import Digraph, FlowProblem, arc_disjoint_paths_at_least
 
 
@@ -273,6 +275,14 @@ def _adjacency(orient: Orientation):
     return adj
 
 
+def _reverse_adjacency(adj):
+    radj = [[] for _ in adj]
+    for u, out in enumerate(adj):
+        for v, j in out:
+            radj[v].append((u, j))
+    return radj
+
+
 def _reach_from(adj, s: int, n: int, allowed=None) -> np.ndarray:
     seen = np.zeros(n, dtype=bool)
     seen[s] = True
@@ -329,10 +339,7 @@ def _improve_to_decmin(orient: Orientation, lower, upper, connectivity=0,
     while True:
         deg = orient.indeg
         adj = _adjacency(orient)
-        radj = [[] for _ in range(n)]
-        for u in range(n):
-            for v, j in adj[u]:
-                radj[v].append((u, j))
+        radj = _reverse_adjacency(adj)
         allowed = allowed_fn(orient) if allowed_fn is not None else None
         improved = False
         for t in sorted(range(n), key=lambda v: (-int(deg[v]), v)):
@@ -360,29 +367,6 @@ def _improve_to_decmin(orient: Orientation, lower, upper, connectivity=0,
                 break
         if not improved:
             return orient
-
-
-def _has_improving_dipath(orient: Orientation, lower, upper, connectivity=0,
-                          allowed_fn=None) -> bool:
-    n = orient.graph.n
-    deg = orient.indeg
-    adj = _adjacency(orient)
-    allowed = allowed_fn(orient) if allowed_fn is not None else None
-    for s in range(n):
-        if deg[s] + 1 > upper[s]:
-            continue
-        reach = _reach_from(adj, s, n, allowed)
-        for t in range(n):
-            if t == s or not reach[t]:
-                continue
-            if deg[t] - deg[s] < 2 or deg[t] - 1 < lower[t]:
-                continue
-            if connectivity > 0 and not arc_disjoint_paths_at_least(
-                orient.digraph(), s, t, connectivity + 1
-            ):
-                continue
-            return True
-    return False
 
 
 def _resolve_bounds(G: Graph, lower, upper):
@@ -482,15 +466,10 @@ def orientation_canonical(
     deg = orient.indeg
     if np.any(deg < lo) or np.any(deg > hi):
         raise NotDecMinOrientationError("orientation violates the bounds")
-    if _has_improving_dipath(orient, lo, hi):
-        raise NotDecMinOrientationError("orientation is not dec-min")
     n = G.n
-    adj = _adjacency(orient)
-    radj = [[] for _ in range(n)]
-    for u in range(n):
-        for v, j in adj[u]:
-            radj[v].append((u, j))
+    radj = _reverse_adjacency(_adjacency(orient))
 
+    @functools.cache
     def tight(t: int) -> frozenset:
         if deg[t] == lo[t]:
             return frozenset({t})
@@ -501,47 +480,9 @@ def orientation_canonical(
             if reach[s] and (s == t or deg[s] < hi[s])
         )
 
-    tights = {t: tight(t) for t in range(n)}
-    chain, partition, betas, counts = [], [], [], []
-    covered = frozenset()
-    while len(covered) < n:
-        beta = max(int(deg[v]) for v in range(n) if v not in covered)
-        members = set()
-        for u in range(n):
-            if deg[u] >= beta:
-                members |= tights[u]
-        ci = frozenset(members)
-        si = ci - covered
-        betas.append(beta)
-        chain.append(ci)
-        partition.append(si)
-        counts.append(sum(1 for v in si if deg[v] == beta))
-        covered = ci
-    delta = np.zeros(n, dtype=np.int64)
-    pi = np.zeros(n, dtype=np.int64)
-    value_fixed = []
-    for i, si in enumerate(partition):
-        for v in si:
-            delta[v] = betas[i] - 1
-            pi[v] = 2 * betas[i] - 1
-        fixed = set()
-        for s in si:
-            if deg[s] != betas[i]:
-                continue
-            if all(deg[v] == betas[i] for v in tights[s] & si):
-                fixed.add(s)
-        value_fixed.append(frozenset(fixed))
-    return CanonicalDecomposition(
-        n=n,
-        chain=chain,
-        partition=partition,
-        betas=betas,
-        counts=counts,
-        delta_star=delta,
-        pi_star=pi,
-        value_fixed=value_fixed,
-        witness=deg.copy(),
-    )
+    if tightening_pair(deg, tight) is not None:
+        raise NotDecMinOrientationError("orientation is not dec-min")
+    return canonical_from_tight_sets(deg, tight)
 
 
 # ---------------------------------------------------------------------------
@@ -549,44 +490,35 @@ def orientation_canonical(
 # ---------------------------------------------------------------------------
 
 
-def _min_cost_orientation(G: Graph, lo, hi, cost, fixed_heads: dict, blocks=None):
-    """Min-cost orientation within per-node in-degree bounds, with some
-    edges pre-oriented (the mixed-graph min-cost subroutine) and, when
-    ``blocks`` is given, exact in-degree sums over node blocks.  The flow
-    network is a DAG, so arbitrary integer costs are safe."""
+def _min_cost_orientation(G: Graph, lo, hi, cost, blocks):
+    """Min-cost orientation within per-node in-degree bounds and with
+    exact in-degree sums over the node blocks.  The flow network is a DAG,
+    so arbitrary integer costs are safe."""
     n, mm = G.n, G.m
     src, snk = n + mm, n + mm + 1
     base = n + mm + 2
-    extra = 0 if blocks is None else len(blocks)
+    extra = len(blocks)
     arcs = [(src, n + j) for j in range(mm)]
     lows = [1] * mm
     caps = [1] * mm
     costs = [0] * mm
     for j, (u, v) in enumerate(G.edges):
         cu, cv = (0, 0) if cost is None else cost[j]
-        allowed = fixed_heads.get(j)
         for endpoint, w in ((u, cu), (v, cv)):
             arcs.append((n + j, endpoint))
             lows.append(0)
-            caps.append(1 if allowed in (None, endpoint) else 0)
+            caps.append(1)
             costs.append(int(w))
-    if blocks is None:
-        for v in range(n):
-            arcs.append((v, snk))
+    for i, (members, sigma) in enumerate(blocks):
+        for v in members:
+            arcs.append((v, base + i))
             lows.append(int(lo[v]))
             caps.append(int(hi[v]))
             costs.append(0)
-    else:
-        for i, (members, sigma) in enumerate(blocks):
-            for v in members:
-                arcs.append((v, base + i))
-                lows.append(int(lo[v]))
-                caps.append(int(hi[v]))
-                costs.append(0)
-            arcs.append((base + i, snk))
-            lows.append(int(sigma))
-            caps.append(int(sigma))
-            costs.append(0)
+        arcs.append((base + i, snk))
+        lows.append(int(sigma))
+        caps.append(int(sigma))
+        costs.append(0)
     arcs.append((snk, src))
     lows.append(mm)
     caps.append(mm)
@@ -642,15 +574,14 @@ def cheapest_decmin_orientation_bounded(
     blocks = [
         (sorted(si), sum(int(deg[v]) for v in si)) for si in D.partition
     ]
-    return _min_cost_orientation(G, f_star, g_star, cost, {}, blocks=blocks)
+    return _min_cost_orientation(G, f_star, g_star, cost, blocks)
 
 
 def decmin_orientation_of_mixed_graph(*args, **kwargs):
     """Dec-min orientation of a mixed graph is rejected: the in-degree
     vectors of strong/mixed orientations form an intersection of two
     M-convex sets, where dec-min and inc-max genuinely differ, so the
-    single-base-polyhedron machinery here does not apply.  Pre-oriented
-    arcs are supported only inside the min-cost subroutine."""
+    single-base-polyhedron machinery here does not apply."""
     raise NotImplementedError(decmin_orientation_of_mixed_graph.__doc__)
 
 
@@ -675,14 +606,11 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     while True:
         deg = orient.indeg
         adj = _adjacency(orient)
+        radj = _reverse_adjacency(adj)
         moved = False
         for t in sorted(t_set):
             if deg[t] - 1 < lo[t]:
                 continue
-            radj = [[] for _ in range(n)]
-            for u in range(n):
-                for v, j in adj[u]:
-                    radj[v].append((u, j))
             reach = _reach_from(radj, t, n)
             for s in range(n):
                 if s in t_set or not reach[s] or deg[s] + 1 > hi[s]:
@@ -696,12 +624,8 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
         if not moved:
             break
     deg = orient.indeg
-    adj = _adjacency(orient)
+    radj = _reverse_adjacency(_adjacency(orient))
     xt = np.zeros(n, dtype=bool)
-    radj = [[] for _ in range(n)]
-    for u in range(n):
-        for v, j in adj[u]:
-            radj[v].append((u, j))
     for t in sorted(t_set):
         if deg[t] > lo[t]:
             xt |= _reach_from(radj, t, n)

@@ -3,7 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from decmin.canonical import canonical_from_decmin, decmin_set_membership
+from decmin.canonical import (
+    canonical_from_decmin,
+    decmin_set_membership,
+    duality_gap,
+    verify_dual_optimal,
+)
 from decmin.core import (
     BaseHandle,
     is_member,
@@ -165,6 +170,38 @@ class TestOrientationCanonical:
             boxed = BaseHandle(G.induced_oracle(), lower=lo, upper=hi)
             D_generic = canonical_from_decmin(boxed, o.indeg, check=False)
             assert D_graph == D_generic
+
+    def test_beyond_subset_ceiling(self):
+        # K5 planted in a random connected graph on 24 nodes: a 21-node
+        # block whose value-fixed part is a proper non-empty subset, so
+        # neither the chain nor F_i may come from a 2^|S_i| scan
+        rng = np.random.default_rng(4)
+        n = 24
+        edges = list(itertools.combinations(range(5), 2))
+        edges += [(v, int(rng.integers(0, v))) for v in range(5, n)]
+        for _ in range(int(rng.integers(8, 16))):
+            u, v = rng.choice(n, size=2, replace=False)
+            edges.append((int(u), int(v)))
+        G = Graph(n, edges)
+        o = decmin_orientation(G)
+        D = orientation_canonical(G, o)
+        big = max(range(D.q), key=lambda i: len(D.partition[i]))
+        assert len(D.partition[big]) >= 20
+        assert 0 < len(D.value_fixed[big]) < len(D.partition[big])
+        handle = BaseHandle(G.induced_oracle())
+        assert canonical_from_decmin(handle, o.indeg) == D
+        assert verify_dual_optimal(D, handle, D.pi_star)
+        assert duality_gap(handle, o.indeg, D.pi_star).gap == 0
+        # raising pi by 2 on a whole value-fixed set keeps it optimal
+        pi = D.pi_star.copy()
+        pi[sorted(D.value_fixed[big])] += 2
+        assert verify_dual_optimal(D, handle, pi)
+        assert duality_gap(handle, o.indeg, pi).gap == 0
+        # raising it on one element alone breaks an arc into that element
+        pi = D.pi_star.copy()
+        pi[max(D.value_fixed[big])] += 2
+        assert not verify_dual_optimal(D, handle, pi)
+        assert duality_gap(handle, o.indeg, pi).gap > 0
 
 
 class TestCheapest:
