@@ -291,22 +291,13 @@ def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
     else:
         # cheapest subgraph over the whole dec-min set: keep every chain
         # block sum exact and every node inside its small box
-        from .canonical import canonical_from_decmin
+        from .canonical import canonical_from_decmin, decmin_description
 
         D = canonical_from_decmin(handle, y, check=False)
-        caps, lo_s, hi_s, _, _ = _sm_bounds(P)
-        lo2 = lo_s.copy()
-        hi2 = hi_s.copy()
-        blocks = []
-        for i, si in enumerate(D.partition):
-            beta = D.betas[i]
-            for v in si:
-                lo2[v] = max(lo2[v], beta - 1)
-                hi2[v] = min(hi2[v], beta)
-            blocks.append((sorted(si), sum(int(y[v]) for v in si)))
-        res = _sm_circulation(
-            P, edge_cost=P.cost, block_caps=((lo2, hi2), blocks)
-        )
+        lo_d, hi_d, blocks = decmin_description(D)
+        _, lo_s, hi_s, _, _ = _sm_bounds(P)
+        bounds = (np.maximum(lo_s, lo_d), np.minimum(hi_s, hi_d))
+        res = _sm_circulation(P, edge_cost=P.cost, block_caps=(bounds, blocks))
         assert res.feasible
         z = res.flow[: P.m]
         total_cost = int(np.dot(z, P.cost))

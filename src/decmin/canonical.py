@@ -72,6 +72,15 @@ class CanonicalDecomposition:
     def q(self) -> int:
         return len(self.partition)
 
+    def decmin_element(self) -> np.ndarray:
+        """The dec-min element the decomposition was read off."""
+        if self.witness is None:
+            raise ValueError(
+                "the decomposition carries no dec-min element (one loaded "
+                "from JSON has none)"
+            )
+        return self.witness
+
     def block_of(self, v: int) -> int:
         for i, block in enumerate(self.partition):
             if v in block:
@@ -133,7 +142,7 @@ def _value_fixed(m, tight, si, beta) -> frozenset:
 def value_fixed_set(D: CanonicalDecomposition, B: BaseHandle, i: int) -> frozenset:
     """F_i: the largest X inside S_i with beta_i |X| = p_i(X); its elements
     take the value beta_i in every dec-min element."""
-    m = D.witness
+    m = D.decmin_element()
     return _value_fixed(
         m, lambda u: smallest_tight_set(B, m, u), D.partition[i], D.betas[i]
     )
@@ -189,23 +198,30 @@ def canonical_from_decmin(
     return canonical_from_tight_sets(m, tight)
 
 
+def decmin_description(D: CanonicalDecomposition) -> tuple:
+    """The dec-min set described by D alone, as (lower, upper, blocks):
+    beta_i - 1 <= x <= beta_i on each block S_i, and blocks lists each
+    (sorted S_i, (beta_i - 1)|S_i| + r_i), the sum x must keep on S_i.
+    The dec-min elements are the members of the set that meet all three."""
+    blocks = [
+        (sorted(si), (beta - 1) * len(si) + r)
+        for si, beta, r in zip(D.partition, D.betas, D.counts)
+    ]
+    lower = D.delta_star.copy()
+    return lower, lower + 1, blocks
+
+
 def decmin_set_membership(D: CanonicalDecomposition, B: BaseHandle, m) -> bool:
-    """Exact test for membership in the dec-min set: member of B, every
-    canonical chain set tight, and inside the small box beta_i - 1 .. beta_i
-    on each block."""
+    """Exact test for membership in the dec-min set: inside the small box
+    beta_i - 1 .. beta_i on each block, every block sum as in D, and a
+    member of B."""
     m = as_intvec(m, B.n)
-    for i, si in enumerate(D.partition):
-        lo, hi = D.betas[i] - 1, D.betas[i]
-        for v in si:
-            if not lo <= m[v] <= hi:
-                return False
-    if not is_member(B, m):
+    lower, upper, blocks = decmin_description(D)
+    if np.any(m < lower) or np.any(m > upper):
         return False
-    for ci in D.chain:
-        target = sum(int(D.witness[v]) for v in ci)
-        if sum(int(m[v]) for v in ci) != target:
-            return False
-    return True
+    if any(int(m[si].sum()) != total for si, total in blocks):
+        return False
+    return is_member(B, m)
 
 
 def matroid_Mi_base_test(
@@ -223,7 +239,7 @@ def matroid_Mi_base_test(
         raise ValueError("L must be a subset of the block S_i")
     if len(L) != D.counts[i]:
         raise ValueError(f"|L| must equal r_i = {D.counts[i]}")
-    m = D.witness.copy()
+    m = D.decmin_element().copy()
     beta = D.betas[i]
     for v in D.partition[i]:
         m[v] = beta if v in L else beta - 1
@@ -317,7 +333,7 @@ def verify_dual_optimal(D: CanonicalDecomposition, B: BaseHandle, pi) -> bool:
         # st is an arc of D_i iff s lies in T_m(t): T_m(t) n S_i is the
         # smallest X with beta_i |X| = p_i(X) containing t
         for t in fi:
-            tight = smallest_tight_set(B, D.witness, t)
+            tight = smallest_tight_set(B, D.decmin_element(), t)
             if any(pi[s] < pi[t] for s in fi & tight):
                 return False
     return True
@@ -333,7 +349,7 @@ def cheapest_decmin(B: BaseHandle, cost, D: Optional[CanonicalDecomposition] = N
     if D is None:
         m = strongly_poly_decmin(B)
         D = canonical_from_decmin(B, m, check=False)
-    out = D.witness.copy()
+    out = D.decmin_element().copy()
     for i in range(D.q):
         block = sorted(D.partition[i])
         beta = D.betas[i]

@@ -5,7 +5,6 @@ orientation that is dec-min in both degree directions at once.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -175,38 +174,6 @@ def direct_sum_matroid(parts: Sequence, grounds: Sequence) -> MatroidOracle:
     return MatroidOracle(n, indep, "direct-sum")
 
 
-def parallel_copies_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
-    """Each element replaced by k parallel copies; copy (v, c) gets global
-    index v * k + c."""
-
-    def indep(X):
-        seen = set()
-        for idx in X:
-            v = idx // k
-            if v in seen:
-                return False
-            seen.add(v)
-        return M.independent({idx // k for idx in X})
-
-    return MatroidOracle(M.n * k, indep, f"{M.name}^parallel{k}")
-
-
-def union_k_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
-    """k-fold matroid union of M with itself: X independent iff it splits
-    into k independent sets; tested via the union rank formula (exponential
-    in |X|, cross-check use only)."""
-
-    def indep(X):
-        X = sorted(X)
-        for r in range(len(X) + 1):
-            for Y in itertools.combinations(X, r):
-                if len(X) - len(Y) + k * M.rank(Y) < len(X):
-                    return False
-        return True
-
-    return MatroidOracle(M.n, indep, f"{M.name}^union{k}")
-
-
 def _contracted_value(eff: SetFunctionOracle, witness, prev_mask: int, xmask: int):
     """p_i(X) = p(X u C_{i-1}) - p(C_{i-1}); the tight prefix value is read
     off the witness instead of a second oracle call."""
@@ -228,6 +195,7 @@ def from_decomposition_matroid(
     b*(X) = beta_i |X| - p_i(X), so independence reduces to a dual rank
     query."""
     eff = effective_oracle(B)
+    witness = D.decmin_element()
     block = sorted(D.partition[i])
     kk = len(block)
     beta = D.betas[i]
@@ -236,7 +204,7 @@ def from_decomposition_matroid(
     for sub in range(1, 1 << kk):
         xmask = mask_of(block[j] for j in range(kk) if sub >> j & 1)
         size = bin(sub).count("1")
-        pv = _contracted_value(eff, D.witness, prev_mask, xmask)
+        pv = _contracted_value(eff, witness, prev_mask, xmask)
         bstar[sub] = np.inf if pv == -np.inf else beta * size - pv
     masks = np.arange(1 << kk, dtype=np.int64)
     pc = np.array([bin(m).count("1") for m in range(1 << kk)])
@@ -447,21 +415,6 @@ def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
     if bases is None:
         raise RuntimeError("dec-min sum vector failed to decompose")
     return bases, m
-
-
-def levin_onn_decmin_sum(M: MatroidOracle, k: int):
-    """Single-matroid dec-min basis sum through rapid costs on k parallel
-    copies (union matroid + greedy); cross-check path only, the general
-    solver is decmin_basis_sum."""
-    par = parallel_copies_matroid(M, k)
-    uni = union_k_matroid(par, k)
-    base = M.n * k + 2
-    cost = [base ** (idx % k) for idx in range(M.n * k)]
-    basis = min_cost_basis(uni, cost)
-    out = np.zeros(M.n, dtype=np.int64)
-    for idx in basis:
-        out[idx // k] += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,21 @@ class _Residual:
     def flow_on(self, i: int) -> int:
         return self.res[2 * i + 1]
 
+    def reach(self, s: int) -> list:
+        """seen[v]: v is reachable from s along arcs of positive residual
+        capacity (the source side of a minimum cut)."""
+        seen = [False] * self.n
+        seen[s] = True
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for a in self.adj[u]:
+                v = self.head[a]
+                if self.res[a] > 0 and not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return seen
+
 
 def _bfs_augment(R: _Residual, s: int, t: int):
     prev = [-1] * R.n
@@ -115,16 +130,7 @@ def max_flow(D: Digraph, s: int, t: int):
             R.res[a] -= bottleneck
             R.res[a ^ 1] += bottleneck
         value += bottleneck
-    seen = [False] * D.n
-    seen[s] = True
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for a in R.adj[u]:
-            v = R.head[a]
-            if R.res[a] > 0 and not seen[v]:
-                seen[v] = True
-                stack.append(v)
+    seen = R.reach(s)
     flow = np.array([R.flow_on(i) for i in range(D.m)], dtype=np.int64)
     cut = frozenset(v for v in range(D.n) if seen[v])
     return value, flow, cut
@@ -171,25 +177,38 @@ class FlowResult:
         return self.flow is not None
 
 
-def _excess_network(P: FlowProblem):
-    """Standard lower-bound transformation: returns the per-node demand
-    d = target - psi(lower) that a flow on caps upper - lower must meet."""
-    D = P.digraph
-    psi_f = np.zeros(D.n, dtype=np.int64)
-    for (u, v), f in zip(D.arcs, P.lower):
-        psi_f[v] += f
-        psi_f[u] -= f
-    demand = P.target - psi_f
-    return demand
-
-
 def net_in_flow(D: Digraph, z) -> np.ndarray:
-    z = as_intvec(z, D.m)
-    psi = np.zeros(D.n, dtype=np.int64)
-    for (u, v), x in zip(D.arcs, z):
+    psi = [0] * D.n
+    for (u, v), x in zip(D.arcs, as_intvec(z, D.m).tolist()):
         psi[v] += x
         psi[u] -= x
-    return psi
+    return np.array(psi, dtype=np.int64)
+
+
+def _demand_network(P: FlowProblem):
+    """Standard lower-bound transformation: the arcs of P with capacities
+    upper - lower, plus a super-source feeding every node whose demand
+    d = target - psi(lower) is negative and a super-sink drained by every
+    node whose demand is positive (zero-cost plumbing when P has costs).
+
+    Returns (arcs, caps, costs, src, snk, need); costs is None without
+    costs, and need is the supply a feasible flow must route."""
+    D = P.digraph
+    if int(P.target.sum()) != 0:
+        raise ValueError("net-in-flow targets must sum to zero")
+    demand = P.target - net_in_flow(D, P.lower)
+    src, snk = D.n, D.n + 1
+    arcs = list(D.arcs)
+    caps = (P.upper - P.lower).tolist()
+    costs = None if P.cost is None else P.cost.tolist()
+    for v in np.flatnonzero(demand).tolist():
+        d = int(demand[v])
+        arcs.append((v, snk) if d > 0 else (src, v))
+        caps.append(abs(d))
+        if costs is not None:
+            costs.append(0)
+    need = int(demand[demand > 0].sum())
+    return arcs, caps, costs, src, snk, need
 
 
 def feasible_m_flow(P: FlowProblem) -> FlowResult:
@@ -197,20 +216,7 @@ def feasible_m_flow(P: FlowProblem) -> FlowResult:
     net-in-flow, or a node set Z maximizing rho_f(Z) - delta_g(Z) - m~(Z)
     (a witness that the requirement fails on Z)."""
     D = P.digraph
-    if int(P.target.sum()) != 0:
-        raise ValueError("net-in-flow targets must sum to zero")
-    demand = _excess_network(P)
-    src, snk = D.n, D.n + 1
-    arcs = list(D.arcs)
-    caps = list((P.upper - P.lower).tolist())
-    for v in range(D.n):
-        if demand[v] > 0:
-            arcs.append((v, snk))
-            caps.append(int(demand[v]))
-        elif demand[v] < 0:
-            arcs.append((src, v))
-            caps.append(int(-demand[v]))
-    need = int(demand[demand > 0].sum())
+    arcs, caps, _, src, snk, need = _demand_network(P)
     aux = Digraph(D.n + 2, arcs, np.array(caps, dtype=np.int64))
     value, flow, cut = max_flow(aux, src, snk)
     if value == need:
@@ -258,23 +264,7 @@ def min_cost_flow(P: FlowProblem) -> FlowResult:
     D = P.digraph
     if P.cost is None:
         raise ValueError("flow problem has no costs")
-    if int(P.target.sum()) != 0:
-        raise ValueError("net-in-flow targets must sum to zero")
-    demand = _excess_network(P)
-    src, snk = D.n, D.n + 1
-    arcs = list(D.arcs)
-    caps = list((P.upper - P.lower).tolist())
-    costs = list(P.cost.tolist())
-    for v in range(D.n):
-        if demand[v] > 0:
-            arcs.append((v, snk))
-            caps.append(int(demand[v]))
-            costs.append(0)
-        elif demand[v] < 0:
-            arcs.append((src, v))
-            caps.append(int(-demand[v]))
-            costs.append(0)
-    need = int(demand[demand > 0].sum())
+    arcs, caps, costs, src, snk, need = _demand_network(P)
     R = _Residual(D.n + 2, arcs, caps, costs)
     sent = 0
     while sent < need:
@@ -295,15 +285,7 @@ def min_cost_flow(P: FlowProblem) -> FlowResult:
             R.res[a ^ 1] += bottleneck
         sent += bottleneck
     if sent < need:
-        seen = [False] * R.n
-        seen[src] = True
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for a in R.adj[u]:
-                if R.res[a] > 0 and not seen[R.head[a]]:
-                    seen[R.head[a]] = True
-                    stack.append(R.head[a])
+        seen = R.reach(src)
         witness = frozenset(v for v in range(D.n) if seen[v])
         return FlowResult(flow=None, witness=witness)
     z = P.lower + np.array([R.flow_on(i) for i in range(D.m)], dtype=np.int64)

@@ -4,10 +4,13 @@ k-edge-connected), the orientation form of the canonical decomposition,
 and cheapest dec-min bounded orientations.
 
 The in-degree vectors of orientations of G are the integral points of the
-base-polyhedron of the induced-edge-count function, so every solver here
-is an instance of the generic engine with reachability standing in for
-tight-set oracles: reversing an s->t dipath is exactly the exchange
-m + chi_s - chi_t.
+base-polyhedron of the induced-edge-count function.  Every solver here
+rests on two primitives: one flow on the nodes of G itself
+(_orientation_flow: exact in-degrees, in-degree bounds, block sums and
+costs, with a minimum cut as the infeasibility witness), and one reader of
+smallest tight sets as reachability sets (_tight_sets), where reversing an
+s->t dipath is exactly the exchange m + chi_s - chi_t and the pair to
+reverse comes from engine.tightening_pair.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from .core import (
     as_intvec,
     register_fast_path,
 )
-from .canonical import CanonicalDecomposition, canonical_from_tight_sets
+from .canonical import (
+    CanonicalDecomposition,
+    canonical_from_tight_sets,
+    decmin_description,
+)
 from .engine import tightening_pair
-from .netflow import Digraph, FlowProblem, arc_disjoint_paths_at_least
+from .netflow import Digraph, FlowProblem, FlowResult, arc_disjoint_paths_at_least
 
 
 class InfeasibleOrientationError(RuntimeError):
@@ -200,8 +207,67 @@ class CapacitatedOrientation:
 
 
 # ---------------------------------------------------------------------------
-# constructing orientations with a prescribed in-degree vector
+# the one flow model: copies of each edge moved along an arc of G itself
 # ---------------------------------------------------------------------------
+
+
+def _orientation_flow(n, edges, ell, lo, hi, cost=None, blocks=None):
+    """An orientation of ell(j) copies of each edge j = (u, v) with
+    lo <= in-degree <= hi, as one flow on the nodes of G.
+
+    Every copy starts at its cheaper head (u on ties), so each arc costs
+    |c_v - c_u| >= 0 and successive shortest paths never meet a negative
+    cycle; the flow on arc j moves copies of edge j to its other end, up
+    to ell(j) of them.  A node with lo(v) = hi(v) is a net-in-flow target;
+    every other node sends its in-degree to its block's node, whose target
+    is the block's in-degree sum minus that of its exact nodes.  blocks is
+    a list of (nodes, in-degree sum) partitioning the nodes; by default one
+    block holds every node and every copy.  With cost (one price pair per
+    edge, as Graph.cost) the flow is a cheapest one.
+
+    Returns a FlowResult whose flow counts the copies of each edge headed
+    at v, or whose witness is a violating node set of G.
+    """
+    mm = len(edges)
+    ell = [1] * mm if ell is None else ell.tolist()
+    if cost is None:
+        flip, arcs = [False] * mm, list(edges)
+    else:
+        flip = [cv < cu for cu, cv in cost]
+        arcs = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flip)]
+    lo, hi = lo.tolist(), hi.tolist()
+    target = [lo[v] if lo[v] == hi[v] else 0 for v in range(n)]
+    for (a, _), k in zip(arcs, ell):
+        target[a] -= k
+    if blocks is None:
+        blocks = [(range(n), sum(ell))]
+    for i, (members, total) in enumerate(blocks):
+        target.append(total - sum(lo[v] for v in members if lo[v] == hi[v]))
+        arcs += [(v, n + i) for v in members if lo[v] != hi[v]]
+    free = [v for v, _ in arcs[mm:]]
+    upper = ell + [hi[v] for v in free]
+    P = FlowProblem(
+        Digraph(n + len(blocks), arcs, upper),
+        [0] * mm + [lo[v] for v in free],
+        upper,
+        target,
+        cost=None
+        if cost is None
+        else [abs(cv - cu) for cu, cv in cost] + [0] * len(free),
+    )
+    res = netflow.feasible_m_flow(P) if cost is None else netflow.min_cost_flow(P)
+    if not res.feasible:
+        return FlowResult(None, witness=frozenset(v for v in res.witness if v < n))
+    moved = res.flow[:mm]
+    return FlowResult(np.where(flip, np.array(ell) - moved, moved))
+
+
+def _orient_by_flow(G: Graph, lo, hi, message, cost=None, blocks=None) -> Orientation:
+    res = _orientation_flow(G.n, G.edges, None, lo, hi, cost, blocks)
+    if not res.feasible:
+        raise InfeasibleOrientationError(message, witness=res.witness)
+    uv = np.asarray(G.edges, dtype=np.int64).reshape(-1, 2)
+    return Orientation(G, np.where(res.flow > 0, uv[:, 1], uv[:, 0]))
 
 
 def orient_with_indegrees(G: Graph, m) -> Orientation:
@@ -215,52 +281,7 @@ def orient_with_indegrees(G: Graph, m) -> Orientation:
         raise InfeasibleOrientationError(
             f"negative in-degree at node {v}", witness=frozenset({v})
         )
-    # bipartite-style flow: edge j must push its unit into one endpoint
-    n, mm = G.n, G.m
-    src, snk = n + mm, n + mm + 1
-    arcs = []
-    caps = []
-    for j, (u, v) in enumerate(G.edges):
-        arcs.append((src, n + j))
-        caps.append(1)
-        arcs.append((n + j, u))
-        caps.append(1)
-        arcs.append((n + j, v))
-        caps.append(1)
-    for v in range(n):
-        arcs.append((v, snk))
-        caps.append(int(m[v]))
-    D = Digraph(n + mm + 2, arcs, np.array(caps, dtype=np.int64))
-    value, flow, cut = netflow.max_flow(D, src, snk)
-    if value == G.m:
-        heads = np.zeros(mm, dtype=np.int64)
-        for j, (u, v) in enumerate(G.edges):
-            heads[j] = u if flow[3 * j + 1] == 1 else v
-        return Orientation(G, heads)
-    witness = frozenset(v for v in cut if v < n)
-    if _ig(G, witness) <= sum(int(m[v]) for v in witness):
-        witness = _brute_ig_witness(G, m)
-    raise InfeasibleOrientationError(
-        "no orientation matches the in-degree vector", witness=witness
-    )
-
-
-def _ig(G: Graph, X) -> int:
-    return sum(1 for u, v in G.edges if u in X and v in X)
-
-
-def _brute_ig_witness(G: Graph, m) -> frozenset:
-    if G.n > 22:
-        raise CeilingExceeded("witness scan too large")
-    best = None
-    for mask in range(1, 1 << G.n):
-        X = frozenset(v for v in range(G.n) if mask >> v & 1)
-        gap = _ig(G, X) - sum(int(m[v]) for v in X)
-        if gap > 0 and (best is None or gap > best[0]):
-            best = (gap, X)
-    if best is None:
-        raise RuntimeError("flow said infeasible but no violating set exists")
-    return best[1]
+    return _orient_by_flow(G, m, m, "no orientation matches the in-degree vector")
 
 
 # ---------------------------------------------------------------------------
@@ -328,45 +349,45 @@ def _reverse_path(orient: Orientation, path):
         orient.heads[j] = u if orient.heads[j] == v else v
 
 
-def _improve_to_decmin(orient: Orientation, lower, upper, connectivity=0,
-                       allowed_fn=None):
-    """Reverse improving dipaths until none exists.  An s->t dipath is
-    improving when indeg(t) >= indeg(s) + 2, t is above its lower bound, s
-    below its upper bound and, for connectivity k, at least k+1
-    arc-disjoint s->t dipaths exist (so one reversal keeps every cut
-    in-degree at k or more)."""
-    n = orient.graph.n
-    while True:
-        deg = orient.indeg
-        adj = _adjacency(orient)
-        radj = _reverse_adjacency(adj)
-        allowed = allowed_fn(orient) if allowed_fn is not None else None
-        improved = False
-        for t in sorted(range(n), key=lambda v: (-int(deg[v]), v)):
-            if deg[t] - 1 < lower[t]:
-                continue
-            reach = _reach_from(radj, t, n, allowed)
-            cands = [
-                s
-                for s in range(n)
-                if s != t and reach[s] and deg[s] + 1 <= upper[s]
-                and deg[t] - deg[s] >= 2
+def _tight_sets(orient: Orientation, lo, hi, k=0, allowed=None):
+    """(in-degrees, adjacency, tight) of the current orientation, where the
+    cached tight(t) is the smallest tight set of t: the nodes s that reach
+    t along arcs of edges the mask allows, sit below hi(s) and, for
+    connectivity k > 0, have k+1 arc-disjoint s->t dipaths (so reversing
+    one keeps every cut in-degree at k or more); {t} alone when t sits at
+    lo(t).  Reversing an s->t dipath is the exchange m + chi_s - chi_t."""
+    deg = orient.indeg
+    adj = _adjacency(orient)
+    radj = _reverse_adjacency(adj)
+    n = len(deg)
+    below = deg < hi
+    digraph = orient.digraph() if k else None
+
+    @functools.cache
+    def tight(t: int) -> frozenset:
+        if deg[t] <= lo[t]:
+            return frozenset({t})
+        ok = _reach_from(radj, t, n, allowed) & below
+        ok[t] = False
+        members = np.flatnonzero(ok).tolist()
+        if k:
+            members = [
+                s for s in members
+                if arc_disjoint_paths_at_least(digraph, s, t, k + 1)
             ]
-            for s in sorted(cands, key=lambda v: (int(deg[v]), v)):
-                if connectivity > 0 and not arc_disjoint_paths_at_least(
-                    orient.digraph(), s, t, connectivity + 1
-                ):
-                    continue
-                path = _find_path(adj, s, t, n, allowed)
-                if path is None:
-                    continue
-                _reverse_path(orient, path)
-                improved = True
-                break
-            if improved:
-                break
-        if not improved:
+        return frozenset(members + [t])
+
+    return deg, adj, tight
+
+
+def _improve_to_decmin(orient: Orientation, lo, hi, k=0, allowed=None):
+    """Reverse the dipath of a 1-tightening pair until none exists."""
+    while True:
+        deg, adj, tight = _tight_sets(orient, lo, hi, k, allowed)
+        pair = tightening_pair(deg, tight)
+        if pair is None:
             return orient
+        _reverse_path(orient, _find_path(adj, *pair, len(deg), allowed))
 
 
 def _resolve_bounds(G: Graph, lower, upper):
@@ -387,42 +408,7 @@ def _initial_bounded(G: Graph, lo, hi) -> Orientation:
     if np.any(lo > hi):
         bad = frozenset(int(v) for v in np.flatnonzero(lo > hi))
         raise InfeasibleOrientationError("empty in-degree box", witness=bad)
-    n, mm = G.n, G.m
-    src, snk = n + mm, n + mm + 1
-    arcs = [(src, n + j) for j in range(mm)]
-    lows = [1] * mm
-    caps = [1] * mm
-    for j, (u, v) in enumerate(G.edges):
-        arcs.append((n + j, u))
-        lows.append(0)
-        caps.append(1)
-        arcs.append((n + j, v))
-        lows.append(0)
-        caps.append(1)
-    for v in range(n):
-        arcs.append((v, snk))
-        lows.append(int(lo[v]))
-        caps.append(int(hi[v]))
-    arcs.append((snk, src))
-    lows.append(mm)
-    caps.append(mm)
-    target = np.zeros(n + mm + 2, dtype=np.int64)
-    P = FlowProblem(
-        Digraph(n + mm + 2, arcs, np.array(caps, dtype=np.int64)),
-        np.array(lows, dtype=np.int64),
-        np.array(caps, dtype=np.int64),
-        target,
-    )
-    res = netflow.feasible_m_flow(P)
-    if not res.feasible:
-        witness = frozenset(v for v in res.witness if v < n)
-        raise InfeasibleOrientationError(
-            "no in-degree-bounded orientation exists", witness=witness
-        )
-    heads = np.zeros(mm, dtype=np.int64)
-    for j, (u, v) in enumerate(G.edges):
-        heads[j] = u if res.flow[mm + 2 * j] == 1 else v
-    return Orientation(G, heads)
+    return _orient_by_flow(G, lo, hi, "no in-degree-bounded orientation exists")
 
 
 def decmin_orientation(G: Graph) -> Orientation:
@@ -437,11 +423,7 @@ def decmin_orientation(G: Graph) -> Orientation:
 def decmin_orientation_bounded(G: Graph, lower=None, upper=None) -> Orientation:
     """Dec-min among orientations with f(v) <= indeg(v) <= g(v)."""
     lo, hi = _resolve_bounds(G, lower, upper)
-    if np.any(lo > hi):
-        bad = frozenset(int(v) for v in np.flatnonzero(lo > hi))
-        raise InfeasibleOrientationError("empty in-degree box", witness=bad)
-    orient = _initial_bounded(G, lo, hi)
-    return _improve_to_decmin(orient, lo, hi)
+    return _improve_to_decmin(_initial_bounded(G, lo, hi), lo, hi)
 
 
 def decmin_orientation_tspec(G: Graph, t_set, t_degrees) -> Orientation:
@@ -463,23 +445,9 @@ def orientation_canonical(
     orientation, with smallest tight sets realized as reachability sets
     (in-degree-zero sets are exactly the tight ones)."""
     lo, hi = _resolve_bounds(G, lower, upper)
-    deg = orient.indeg
+    deg, _, tight = _tight_sets(orient, lo, hi)
     if np.any(deg < lo) or np.any(deg > hi):
         raise NotDecMinOrientationError("orientation violates the bounds")
-    n = G.n
-    radj = _reverse_adjacency(_adjacency(orient))
-
-    @functools.cache
-    def tight(t: int) -> frozenset:
-        if deg[t] == lo[t]:
-            return frozenset({t})
-        reach = _reach_from(radj, t, n)
-        return frozenset(
-            s
-            for s in range(n)
-            if reach[s] and (s == t or deg[s] < hi[s])
-        )
-
     if tightening_pair(deg, tight) is not None:
         raise NotDecMinOrientationError("orientation is not dec-min")
     return canonical_from_tight_sets(deg, tight)
@@ -488,56 +456,6 @@ def orientation_canonical(
 # ---------------------------------------------------------------------------
 # cheapest dec-min bounded orientations
 # ---------------------------------------------------------------------------
-
-
-def _min_cost_orientation(G: Graph, lo, hi, cost, blocks):
-    """Min-cost orientation within per-node in-degree bounds and with
-    exact in-degree sums over the node blocks.  The flow network is a DAG,
-    so arbitrary integer costs are safe."""
-    n, mm = G.n, G.m
-    src, snk = n + mm, n + mm + 1
-    base = n + mm + 2
-    extra = len(blocks)
-    arcs = [(src, n + j) for j in range(mm)]
-    lows = [1] * mm
-    caps = [1] * mm
-    costs = [0] * mm
-    for j, (u, v) in enumerate(G.edges):
-        cu, cv = (0, 0) if cost is None else cost[j]
-        for endpoint, w in ((u, cu), (v, cv)):
-            arcs.append((n + j, endpoint))
-            lows.append(0)
-            caps.append(1)
-            costs.append(int(w))
-    for i, (members, sigma) in enumerate(blocks):
-        for v in members:
-            arcs.append((v, base + i))
-            lows.append(int(lo[v]))
-            caps.append(int(hi[v]))
-            costs.append(0)
-        arcs.append((base + i, snk))
-        lows.append(int(sigma))
-        caps.append(int(sigma))
-        costs.append(0)
-    arcs.append((snk, src))
-    lows.append(mm)
-    caps.append(mm)
-    costs.append(0)
-    P = FlowProblem(
-        Digraph(base + extra, arcs, np.array(caps, dtype=np.int64)),
-        np.array(lows, dtype=np.int64),
-        np.array(caps, dtype=np.int64),
-        np.zeros(base + extra, dtype=np.int64),
-        cost=np.array(costs, dtype=np.int64),
-    )
-    res = netflow.min_cost_flow(P)
-    if not res.feasible:
-        witness = frozenset(v for v in res.witness if v < n)
-        raise InfeasibleOrientationError("no such orientation", witness=witness)
-    heads = np.zeros(mm, dtype=np.int64)
-    for j, (u, v) in enumerate(G.edges):
-        heads[j] = u if res.flow[mm + 2 * j] == 1 else v
-    return Orientation(G, heads)
 
 
 def orientation_cost(orient: Orientation, cost) -> int:
@@ -565,16 +483,10 @@ def cheapest_decmin_orientation_bounded(
         cost = [(0, 0)] * G.m
     lo, hi = _resolve_bounds(G, lower, upper)
     base = decmin_orientation_bounded(G, lo, hi)
-    D = orientation_canonical(G, base, lo, hi)
-    deg = base.indeg
-    f_star = np.array([D.betas[D.block_of(v)] - 1 for v in range(G.n)])
-    g_star = np.array([D.betas[D.block_of(v)] for v in range(G.n)])
-    f_star = np.maximum(f_star, lo)
-    g_star = np.minimum(g_star, hi)
-    blocks = [
-        (sorted(si), sum(int(deg[v]) for v in si)) for si in D.partition
-    ]
-    return _min_cost_orientation(G, f_star, g_star, cost, blocks)
+    f, g, blocks = decmin_description(orientation_canonical(G, base, lo, hi))
+    return _orient_by_flow(
+        G, np.maximum(f, lo), np.minimum(g, hi), "no such orientation", cost, blocks
+    )
 
 
 def decmin_orientation_of_mixed_graph(*args, **kwargs):
@@ -604,45 +516,24 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     orient = _initial_bounded(G, lo, hi)
     n = G.n
     while True:
-        deg = orient.indeg
-        adj = _adjacency(orient)
-        radj = _reverse_adjacency(adj)
-        moved = False
-        for t in sorted(t_set):
-            if deg[t] - 1 < lo[t]:
-                continue
-            reach = _reach_from(radj, t, n)
-            for s in range(n):
-                if s in t_set or not reach[s] or deg[s] + 1 > hi[s]:
-                    continue
-                path = _find_path(adj, s, t, n)
-                _reverse_path(orient, path)
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
+        deg, adj, tight = _tight_sets(orient, lo, hi)
+        pair = next(
+            ((min(tight(t) - t_set), t) for t in sorted(t_set) if tight(t) - t_set),
+            None,
+        )
+        if pair is None:
             break
-    deg = orient.indeg
-    radj = _reverse_adjacency(_adjacency(orient))
+        _reverse_path(orient, _find_path(adj, *pair, n))
+    radj = _reverse_adjacency(adj)
     xt = np.zeros(n, dtype=bool)
     for t in sorted(t_set):
         if deg[t] > lo[t]:
             xt |= _reach_from(radj, t, n)
-    f2 = lo.copy()
-    g2 = hi.copy()
-    for v in range(n):
-        if xt[v] and v not in t_set:
-            f2[v] = hi[v]
-        if (not xt[v]) and v in t_set:
-            g2[v] = lo[v]
-
-    def same_side(ornt: Orientation):
-        return np.array(
-            [xt[u] == xt[v] for u, v in G.edges], dtype=bool
-        )
-
-    return _improve_to_decmin(orient, f2, g2, allowed_fn=same_side)
+    in_t = np.isin(np.arange(n), list(t_set))
+    f2 = np.where(xt & ~in_t, hi, lo)
+    g2 = np.where(in_t & ~xt, lo, hi)
+    same_side = np.array([xt[u] == xt[v] for u, v in G.edges], dtype=bool)
+    return _improve_to_decmin(orient, f2, g2, allowed=same_side)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +618,7 @@ def decmin_korient(G: Graph, k: int, lower=None, upper=None) -> Orientation:
     if k == 0:
         return decmin_orientation_bounded(G, lo, hi)
     orient = _initial_korient(G, k, lo, hi)
-    return _improve_to_decmin(orient, lo, hi, connectivity=k)
+    return _improve_to_decmin(orient, lo, hi, k)
 
 
 # ---------------------------------------------------------------------------
@@ -744,20 +635,8 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
         raise ValueError("graph carries no edge capacities")
     from .engine import strongly_poly_decmin  # local import, cycle-free
 
-    handle = BaseHandle(G.induced_oracle())
-    m = strongly_poly_decmin(handle)
-    # net-in-flow target relative to the all-capacity reference orientation
-    delta_g = np.zeros(G.n, dtype=np.int64)
-    for (u, v), cap in zip(G.edges, G.ell):
-        delta_g[u] += int(cap)
-    target = m - delta_g
-    P = FlowProblem(
-        Digraph(G.n, list(G.edges), G.ell),
-        np.zeros(G.m, dtype=np.int64),
-        G.ell,
-        target,
-    )
-    res = netflow.feasible_m_flow(P)
+    m = strongly_poly_decmin(BaseHandle(G.induced_oracle()))
+    res = _orientation_flow(G.n, G.edges, G.ell, m, m)
     if not res.feasible:
         raise RuntimeError("dec-min in-degree vector was not realizable")
     return CapacitatedOrientation(G, res.flow)
@@ -770,19 +649,10 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
 
 def _graph_membership(B: BaseHandle, m) -> bool:
     p: GraphInducedOracle = B.oracle
-    total = int(np.sum(p.weights))
-    if int(m.sum()) != total:
+    m = as_intvec(m, p.n)
+    if int(m.sum()) != int(np.sum(p.weights)):
         return False
-    delta_g = np.zeros(p.n, dtype=np.int64)
-    for (u, v), cap in zip(p.edges, p.weights):
-        delta_g[u] += int(cap)
-    P = FlowProblem(
-        Digraph(p.n, list(p.edges), p.weights),
-        np.zeros(len(p.edges), dtype=np.int64),
-        p.weights,
-        as_intvec(m, p.n) - delta_g,
-    )
-    return netflow.feasible_m_flow(P).feasible
+    return _orientation_flow(p.n, p.edges, p.weights, m, m).feasible
 
 
 def _graph_exchange(B: BaseHandle, m, s: int, t: int) -> bool:

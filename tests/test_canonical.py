@@ -354,6 +354,27 @@ def test_serialization_roundtrip():
     assert again == D
 
 
+def test_loaded_decomposition_carries_no_element():
+    # what D alone describes still works on the JSON form; what needs the
+    # dec-min element it was read off says so
+    from decmin.matroid import from_decomposition_matroid
+
+    handle = util.r62_handle()
+    D = canonical_from_decmin(handle, [2, 3, 3, 1])
+    loaded = CanonicalDecomposition.from_json(D.to_json())
+    assert decmin_set_membership(loaded, handle, [2, 3, 3, 1])
+    assert not decmin_set_membership(loaded, handle, [3, 3, 3, 0])
+    for call in (
+        lambda: value_fixed_set(loaded, handle, 0),
+        lambda: matroid_Mi_base_test(loaded, handle, 0, {1, 2}),
+        lambda: cheapest_decmin(handle, [5, 1, 1, 1], loaded),
+        lambda: from_decomposition_matroid(loaded, handle, 1),
+        lambda: verify_dual_optimal(loaded, handle, D.pi_star),
+    ):
+        with pytest.raises(ValueError, match="no dec-min element"):
+            call()
+
+
 def test_dual_vector_wrapper_accepted():
     from decmin.canonical import DualVector
 

@@ -16,11 +16,9 @@ from decmin.matroid import (
     from_decomposition_matroid,
     graphic_matroid,
     inout_decmin_orientation,
-    levin_onn_decmin_sum,
     load_matroid_json,
     matroid_intersection,
     min_cost_basis,
-    parallel_copies_matroid,
     partition_matroid,
     restrict_matroid,
     uniform_matroid,
@@ -193,7 +191,7 @@ class TestBasisSum:
             M = graphic_matroid(G.n, G.edges)
             k = int(rng.integers(2, 4))
             _, got = decmin_basis_sum([M] * k)
-            rapid = levin_onn_decmin_sum(M, k)
+            rapid = util.levin_onn_decmin_sum(M, k)
             assert value_equivalent(got, rapid)
 
 
@@ -304,7 +302,7 @@ class TestTransforms:
 
     def test_parallel_and_direct_sum(self):
         u = uniform_matroid(2, 1)
-        par = parallel_copies_matroid(u, 2)
+        par = util.parallel_copies_matroid(u, 2)
         assert par.independent({0}) and not par.independent({0, 1})
         ds = direct_sum_matroid([u, u], [[0, 1], [2, 3]])
         assert ds.rank() == 2 and ds.independent({0, 2})

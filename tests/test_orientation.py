@@ -54,6 +54,23 @@ class TestOrientWithIndegrees:
         ig = sum(1 for u, v in G.edges if u in X and v in X)
         assert sum(m[v] for v in X) < ig
 
+    def test_witness_beyond_subset_scan(self):
+        # n = 30, with a K6 on nodes 0..5 that gets no in-degree at all: the
+        # witness comes from the flow's minimum cut alone
+        rng = np.random.default_rng(41)
+        n = 30
+        for _ in range(5):
+            edges = list(itertools.combinations(range(6), 2))
+            edges += [(v, int(rng.integers(0, v))) for v in range(6, n)]
+            G = Graph(n, edges)
+            m = np.zeros(n, dtype=np.int64)
+            m[6:] = np.bincount(rng.integers(6, n, size=G.m), minlength=n)[6:]
+            with pytest.raises(InfeasibleOrientationError) as exc:
+                orient_with_indegrees(G, m)
+            X = exc.value.witness
+            ig = sum(1 for u, v in G.edges if u in X and v in X)
+            assert int(m[sorted(X)].sum()) < ig
+
     def test_random_feasible_vectors(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
@@ -105,8 +122,15 @@ class TestBounded:
             scan = util.orientation_scan(G)
             ok = np.all(scan >= lo, axis=1) & np.all(scan <= hi, axis=1)
             if not ok.any():
-                with pytest.raises(InfeasibleOrientationError):
+                with pytest.raises(InfeasibleOrientationError) as exc:
                     decmin_orientation_bounded(G, lo, hi)
+                # X holds more edges than hi allows, or its complement
+                # touches fewer edges than lo demands
+                X = exc.value.witness
+                rest = set(range(G.n)) - X
+                inside = sum(1 for u, v in G.edges if u in X and v in X)
+                touching = sum(1 for u, v in G.edges if u in rest or v in rest)
+                assert inside > hi[sorted(X)].sum() or touching < lo[sorted(rest)].sum()
                 continue
             done += 1
             _, best = util.decmin_rows(scan[ok])
@@ -218,18 +242,28 @@ class TestCheapest:
         assert decmin_set_membership(D, handle, o.indeg)
 
     def test_brute_random(self):
+        # negative costs, and in-degree caps on every other graph
         rng = np.random.default_rng(23)
-        for _ in range(10):
+        for trial in range(16):
             G = util.random_multigraph(rng, max_nodes=5, max_edges=7)
-            cost = [tuple(int(x) for x in rng.integers(0, 6, size=2)) for _ in G.edges]
+            cost = [tuple(int(x) for x in rng.integers(-5, 10, size=2)) for _ in G.edges]
             scan = util.orientation_scan(G)
+            codes = np.arange(scan.shape[0])
+            upper = None
+            if trial % 2:
+                upper = np.minimum(G.degrees(), rng.integers(1, 4, size=G.n))
+                ok = np.all(scan <= upper, axis=1)
+                scan, codes = scan[ok], codes[ok]
+            if not len(codes):
+                with pytest.raises(InfeasibleOrientationError):
+                    cheapest_decmin_orientation_bounded(G, None, upper, cost)
+                continue
             sel, best = util.decmin_rows(scan)
-            want = None
-            for code in np.flatnonzero(sel):
-                o = util.orientation_from_code(G, int(code))
-                c = orientation_cost(o, cost)
-                want = c if want is None or c < want else want
-            got = cheapest_decmin_orientation_bounded(G, cost=cost)
+            want = min(
+                orientation_cost(util.orientation_from_code(G, int(code)), cost)
+                for code in codes[sel]
+            )
+            got = cheapest_decmin_orientation_bounded(G, None, upper, cost)
             assert sorted_dec(got.indeg) == best
             assert orientation_cost(got, cost) == want
 

@@ -19,6 +19,7 @@ from decmin.core import (
     sorted_dec,
     sorted_inc,
 )
+from decmin.matroid import MatroidOracle, min_cost_basis
 from decmin.orientation import Graph, Orientation
 
 
@@ -360,3 +361,54 @@ def basis_exchange_holds(family) -> bool:
                 if not any((b1 - {x}) | {y} in fam for y in b2 - b1):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# single-matroid dec-min basis sums by rapid costs (cross-check path)
+# ---------------------------------------------------------------------------
+
+
+def parallel_copies_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
+    """Each element replaced by k parallel copies; copy (v, c) gets global
+    index v * k + c."""
+
+    def indep(X):
+        seen = set()
+        for idx in X:
+            v = idx // k
+            if v in seen:
+                return False
+            seen.add(v)
+        return M.independent({idx // k for idx in X})
+
+    return MatroidOracle(M.n * k, indep, f"{M.name}^parallel{k}")
+
+
+def union_k_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
+    """k-fold matroid union of M with itself: X independent iff it splits
+    into k independent sets; tested via the union rank formula (exponential
+    in |X|)."""
+
+    def indep(X):
+        X = sorted(X)
+        for r in range(len(X) + 1):
+            for Y in itertools.combinations(X, r):
+                if len(X) - len(Y) + k * M.rank(Y) < len(X):
+                    return False
+        return True
+
+    return MatroidOracle(M.n, indep, f"{M.name}^union{k}")
+
+
+def levin_onn_decmin_sum(M: MatroidOracle, k: int):
+    """Single-matroid dec-min basis sum through rapid costs on k parallel
+    copies (union matroid + greedy), independent of decmin_basis_sum."""
+    par = parallel_copies_matroid(M, k)
+    uni = union_k_matroid(par, k)
+    base = M.n * k + 2
+    cost = [base ** (idx % k) for idx in range(M.n * k)]
+    basis = min_cost_basis(uni, cost)
+    out = np.zeros(M.n, dtype=np.int64)
+    for idx in basis:
+        out[idx // k] += 1
+    return out
