@@ -6,6 +6,14 @@ packings.
 Each reduction presents its feasible vectors as an M-convex set through a
 flow-backed supermodular oracle, hands the dec-min work to the generic
 engine, and realizes the optimal vector again by one more flow.
+
+A semi-matching is an orientation of the bipartite graph G = (S, T; E)
+itself: the chosen copies of each edge point at S and the rest at T, so
+d_F(s) is the in-degree of s and d_F(t) is t's capacity-weighted degree
+w(t) minus its in-degree.  Every semi-matching flow (oracle value,
+membership, start, realization, cheapest dec-min subgraph) is one
+orientation._orientation_flow on S followed by T, and an infeasibility
+witness is a node set of G, with t numbered n_left + t.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from .core import (
     register_fast_path,
 )
 from .engine import basic_decmin
-from .netflow import Digraph, FlowProblem
+from .netflow import Digraph, FlowProblem, FlowResult
+from .orientation import _orientation_flow
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -106,14 +115,17 @@ class SemiMatchingResult:
 
 
 def _sm_bounds(P: SemiMatchingProblem):
+    """(caps, lo, hi): the copies of each edge and the in-degree bounds of
+    the orientation view, S-nodes first; t's in-degree is w(t) - d_F(t),
+    so its bounds are [w(t) - hi_t, w(t) - lo_t]."""
     caps = P.edge_caps
     if caps is None:
         caps = np.ones(P.m, dtype=np.int64)
-    weighted_right = np.zeros(P.n_right, dtype=np.int64)
-    weighted_left = np.zeros(P.n_left, dtype=np.int64)
-    for (s, t), c in zip(P.edges, caps):
-        weighted_left[s] += int(c)
-        weighted_right[t] += int(c)
+    w = np.zeros(P.n_left + P.n_right, dtype=np.int64)
+    for (s, t), c in zip(P.edges, caps.tolist()):
+        w[s] += c
+        w[P.n_left + t] += c
+    weighted_left, weighted_right = w[: P.n_left], w[P.n_left :]
     if P.t_degrees is not None:
         lo_t = hi_t = P.t_degrees
     elif P.lower_right is not None or P.upper_right is not None:
@@ -139,174 +151,113 @@ def _sm_bounds(P: SemiMatchingProblem):
         if P.upper_left is None
         else np.minimum(as_intvec(P.upper_left, P.n_left), weighted_left)
     )
-    return caps, lo_s, hi_s, lo_t, hi_t
-
-
-def _sm_circulation(P, pin=None, edge_cost=None, block_caps=None):
-    """The circulation model: hubT -> t -> (edges) -> s -> hubS -> hubT.
-
-    pin: exact S-degrees; block_caps: (per-node bounds, list of (block
-    nodes, exact sum)) enforcing a canonical chain while minimizing cost.
-    Returns FlowResult whose flow is indexed [edges..., then plumbing].
-    """
-    from .netflow import FlowResult
-
-    caps, lo_s, hi_s, lo_t, hi_t = _sm_bounds(P)
-    nS, nT, mm = P.n_left, P.n_right, P.m
-    if np.any(lo_s > hi_s) or np.any(lo_t > hi_t):
-        bad = frozenset(int(v) for v in np.flatnonzero(lo_s > hi_s))
-        bad |= frozenset(
-            P.n_left + int(v) for v in np.flatnonzero(lo_t > hi_t)
-        )
-        return FlowResult(flow=None, witness=bad)
-    hub_t, hub_s = nS + nT, nS + nT + 1
-    extra = 0
-    arcs = []
-    lows = []
-    highs = []
-    costs = []
-    for j, (s, t) in enumerate(P.edges):
-        arcs.append((nS + t, s))
-        lows.append(0)
-        highs.append(int(caps[j]))
-        costs.append(0 if edge_cost is None else int(edge_cost[j]))
-    for t in range(nT):
-        arcs.append((hub_t, nS + t))
-        lows.append(int(lo_t[t]))
-        highs.append(int(hi_t[t]))
-        costs.append(0)
-    node_bounds = None
-    blocks = None
-    if block_caps is not None:
-        node_bounds, blocks = block_caps
-    if blocks is None:
-        for s in range(nS):
-            arcs.append((s, hub_s))
-            lows.append(int(lo_s[s]))
-            highs.append(int(hi_s[s]))
-            costs.append(0)
-    else:
-        base = nS + nT + 2
-        extra = len(blocks)
-        for i, (members, sigma) in enumerate(blocks):
-            for s in members:
-                arcs.append((s, base + i))
-                lows.append(int(node_bounds[0][s]))
-                highs.append(int(node_bounds[1][s]))
-                costs.append(0)
-            arcs.append((base + i, hub_s))
-            lows.append(int(sigma))
-            highs.append(int(sigma))
-            costs.append(0)
-    if pin is not None:
-        # overwrite the s -> hub arcs with exact values
-        for idx, (u, v) in enumerate(arcs):
-            if v == hub_s and u < nS:
-                lows[idx] = highs[idx] = int(pin[u])
-    total = int(P.gamma) if P.gamma is not None else None
-    arcs.append((hub_s, hub_t))
-    lows.append(0 if total is None else total)
-    highs.append(int(caps.sum()) if total is None else total)
-    costs.append(0)
-    n_all = nS + nT + 2 + extra
-    problem = FlowProblem(
-        Digraph(n_all, arcs, np.array(highs, dtype=np.int64)),
-        np.array(lows, dtype=np.int64),
-        np.array(highs, dtype=np.int64),
-        np.zeros(n_all, dtype=np.int64),
-        cost=None if edge_cost is None else np.array(costs, dtype=np.int64),
-    )
-    if edge_cost is None:
-        return netflow.feasible_m_flow(problem)
-    return netflow.min_cost_flow(problem)
+    lo = np.concatenate((lo_s, weighted_right - hi_t))
+    hi = np.concatenate((hi_s, weighted_right - lo_t))
+    return caps, lo, hi
 
 
 class SemiMatchingOracle(SetFunctionOracle):
     """p(X) = minimum total S-degree on X over feasible subgraphs; each
-    evaluation is one min-cost circulation."""
+    evaluation is one min-cost orientation flow pricing the copies chosen
+    at X."""
 
     kind = "semimatching"
 
     def __init__(self, problem: SemiMatchingProblem):
         super().__init__(problem.n_left)
         self.problem = problem
+        self.bounds = _sm_bounds(problem)
+        # edge j = (s, t) as the orientation edge (n_left + t, s)
+        self.edges = [(problem.n_left + t, s) for s, t in problem.edges]
         self._memo: dict = {}
+
+    def flow(self, lo_s=None, hi_s=None, blocks=None, cost=None) -> FlowResult:
+        """One orientation flow of G: S-degrees narrowed to [lo_s, hi_s]
+        (pinned when lo_s = hi_s); blocks, (S-nodes, S-degree sum) pairs
+        covering S, default to one block of sum gamma when gamma is set,
+        and T takes the remaining copies; cost[j] prices a chosen copy of
+        edge j.  The flow counts the chosen copies of each edge."""
+        P = self.problem
+        caps, lo, hi = self.bounds
+        k, n = P.n_left, P.n_left + P.n_right
+        if lo_s is not None:
+            lo = np.concatenate((np.maximum(lo[:k], lo_s), lo[k:]))
+            hi = np.concatenate((np.minimum(hi[:k], hi_s), hi[k:]))
+        if np.any(lo > hi):
+            empty = np.flatnonzero(lo > hi).tolist()
+            return FlowResult(None, witness=frozenset(empty))
+        if blocks is None and P.gamma is not None:
+            blocks = [(range(k), int(P.gamma))]
+        if blocks is not None:
+            rest = int(caps.sum()) - sum(total for _, total in blocks)
+            blocks = blocks + [(range(k, n), rest)]
+        pairs = None if cost is None else [(0, int(c)) for c in cost]
+        return _orientation_flow(n, self.edges, caps, lo, hi, pairs, blocks)
 
     def value(self, mask: int):
         if mask not in self._memo:
-            marker = np.array(
-                [1 if mask >> s & 1 else 0 for s, _ in self.problem.edges],
-                dtype=np.int64,
-            )
-            res = _sm_circulation(self.problem, edge_cost=marker)
+            marker = [mask >> s & 1 for s, _ in self.problem.edges]
+            res = self.flow(cost=marker)
             if not res.feasible:
                 raise InfeasibleProblemError(
                     "no feasible subgraph", witness=res.witness
                 )
-            self._memo[mask] = int(res.cost)
+            self._memo[mask] = int(np.dot(res.flow, marker))
         return self._memo[mask]
 
 
+def _sm_degrees(P: SemiMatchingProblem, z):
+    """(S-degrees, T-degrees) of the subgraph taking z[j] copies of edge j."""
+    degS = np.zeros(P.n_left, dtype=np.int64)
+    degT = np.zeros(P.n_right, dtype=np.int64)
+    for (s, t), k in zip(P.edges, z.tolist()):
+        degS[s] += k
+        degT[t] += k
+    return degS, degT
+
+
 def _sm_membership(B: BaseHandle, y) -> bool:
-    P = B.oracle.problem
     y = as_intvec(y, B.n)
-    # pinning the degrees replaces the S-side bound arcs, so enforce the
-    # bounds before the flow query
-    _, lo_s, hi_s, _, _ = _sm_bounds(P)
-    if np.any(y < lo_s) or np.any(y > hi_s):
-        return False
-    return _sm_circulation(P, pin=y).feasible
+    return B.oracle.flow(y, y).feasible
 
 
-def _sm_exchange(B: BaseHandle, y, s: int, t: int) -> bool:
-    y2 = as_intvec(y, B.n).copy()
-    y2[s] += 1
-    y2[t] -= 1
-    return _sm_membership(B, y2)
-
-
-register_fast_path(
-    "semimatching", membership=_sm_membership, exchange=_sm_exchange
-)
+register_fast_path("semimatching", membership=_sm_membership)
 
 
 def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
     """A feasible subgraph whose S-degree vector is decreasingly minimal;
-    with costs, the cheapest one among those."""
-    first = _sm_circulation(P)
+    with costs, the cheapest one among those.
+
+    The search starts from a smallest feasible subgraph: when T-degrees
+    and |F| are free, only S-degree vectors of least sum can be dec-min,
+    and they form the M-convex set of the oracle.
+
+    InfeasibleProblemError carries a node set X of G (t as n_left + t)
+    where the orientation view fails: either the nodes whose degree box is
+    empty or, with gamma unset, i(X) > hi(X) or e(V - X) < lo(V - X) for
+    the in-degree bounds lo, hi, where i(X) counts the edge copies inside
+    X and e(U) those touching U."""
+    oracle = SemiMatchingOracle(P)
+    first = oracle.flow(cost=[1] * P.m)
     if not first.feasible:
         raise InfeasibleProblemError(
             "no subgraph meets the degree specifications", witness=first.witness
         )
-    y0 = np.zeros(P.n_left, dtype=np.int64)
-    for j, (s, _) in enumerate(P.edges):
-        y0[s] += int(first.flow[j])
-    handle = BaseHandle(SemiMatchingOracle(P))
-    y = basic_decmin(handle, y0)
+    handle = BaseHandle(oracle)
+    y = basic_decmin(handle, _sm_degrees(P, first.flow)[0])
     if P.cost is None:
-        final = _sm_circulation(P, pin=y)
-        assert final.feasible
-        z = final.flow[: P.m]
-        total_cost = None
+        final = oracle.flow(y, y)
     else:
         # cheapest subgraph over the whole dec-min set: keep every chain
         # block sum exact and every node inside its small box
         from .canonical import canonical_from_decmin, decmin_description
 
         D = canonical_from_decmin(handle, y, check=False)
-        lo_d, hi_d, blocks = decmin_description(D)
-        _, lo_s, hi_s, _, _ = _sm_bounds(P)
-        bounds = (np.maximum(lo_s, lo_d), np.minimum(hi_s, hi_d))
-        res = _sm_circulation(P, edge_cost=P.cost, block_caps=(bounds, blocks))
-        assert res.feasible
-        z = res.flow[: P.m]
-        total_cost = int(np.dot(z, P.cost))
-    degS = np.zeros(P.n_left, dtype=np.int64)
-    degT = np.zeros(P.n_right, dtype=np.int64)
-    for j, (s, t) in enumerate(P.edges):
-        degS[s] += int(z[j])
-        degT[t] += int(z[j])
-    return SemiMatchingResult(z, degS, degT, total_cost)
+        final = oracle.flow(*decmin_description(D), cost=P.cost)
+    assert final.feasible
+    z = final.flow
+    total_cost = None if P.cost is None else int(np.dot(z, P.cost))
+    return SemiMatchingResult(z, *_sm_degrees(P, z), total_cost)
 
 
 def load_semimatching_json(text: str) -> SemiMatchingProblem:
@@ -441,14 +392,7 @@ def _meg_membership(B: BaseHandle, y) -> bool:
     return _meg_network(o.problem, pin=y, amount=o.amount).feasible
 
 
-def _meg_exchange(B: BaseHandle, y, s: int, t: int) -> bool:
-    y2 = as_intvec(y, B.n).copy()
-    y2[s] += 1
-    y2[t] -= 1
-    return _meg_membership(B, y2)
-
-
-register_fast_path("megiddo", membership=_meg_membership, exchange=_meg_exchange)
+register_fast_path("megiddo", membership=_meg_membership)
 
 
 def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
@@ -482,30 +426,18 @@ def _root_membership(B: BaseHandle, m) -> bool:
     p: RootVectorOracle = B.oracle
     if np.any(m < 0) or int(m.sum()) != p.k:
         return False
-    # min over X containing v of m~(X) + rho(X) must reach k everywhere
+    # min over X containing v of m~(X) + rho(X) must reach k everywhere:
+    # a max flow into each v from a source sigma = n feeding u with m(u)
     n = p.n
-    for v in range(n):
-        sigma = n
-        arcs = list(p.arcs) + [(sigma, u) for u in range(n)]
-        caps = [1] * len(p.arcs) + [int(m[u]) for u in range(n)]
-        value, _, _ = netflow.max_flow(
-            Digraph(n + 1, arcs, np.array(caps, dtype=np.int64)), sigma, v
-        )
-        if value < p.k:
-            return False
-    return True
+    D = Digraph(
+        n + 1,
+        list(p.arcs) + [(n, u) for u in range(n)],
+        [1] * len(p.arcs) + m.tolist(),
+    )
+    return all(netflow.max_flow(D, n, v)[0] >= p.k for v in range(n))
 
 
-def _root_exchange(B: BaseHandle, m, s: int, t: int) -> bool:
-    m2 = as_intvec(m, B.n).copy()
-    m2[s] += 1
-    m2[t] -= 1
-    return _root_membership(B, m2)
-
-
-register_fast_path(
-    "root-vector", membership=_root_membership, exchange=_root_exchange
-)
+register_fast_path("root-vector", membership=_root_membership)
 
 
 def decmin_root_vector(D: Digraph, k: int) -> np.ndarray:

@@ -233,19 +233,6 @@ class SetFunctionOracle:
             )
         return self._table
 
-    def is_supermodular(self) -> bool:
-        """Exhaustive supermodularity check (test/verification helper)."""
-        tab = self.table()
-        n = self._n
-        for x in iter_masks(n):
-            for y in range(x + 1, 1 << n):
-                px, py = tab[x], tab[y]
-                if px == NEG_INF or py == NEG_INF:
-                    continue
-                if px + py > tab[x | y] + tab[x & y]:
-                    return False
-        return True
-
 
 class TableOracle(SetFunctionOracle):
     """Explicit table of 2^n values."""
@@ -445,17 +432,15 @@ def shift(p: SetFunctionOracle, w) -> SetFunctionOracle:
 # ---------------------------------------------------------------------------
 
 # fast paths keyed by oracle kind; each entry may provide membership,
-# exchange, tight-set and initial-member routines
+# tight-set and initial-member routines
 _FAST_PATHS: dict = {}
 
 
-def register_fast_path(kind: str, *, membership=None, exchange=None,
-                       tight_set=None, member=None):
+def register_fast_path(kind: str, *, membership=None, tight_set=None,
+                       member=None):
     entry = _FAST_PATHS.setdefault(kind, {})
     if membership is not None:
         entry["membership"] = membership
-    if exchange is not None:
-        entry["exchange"] = exchange
     if tight_set is not None:
         entry["tight_set"] = tight_set
     if member is not None:
@@ -580,28 +565,18 @@ def is_member(B: BaseHandle, m) -> bool:
 
 
 def exchange_feasible(B: BaseHandle, m, s: int, t: int) -> bool:
-    """True iff m + chi_s - chi_t stays in the set (box included).
+    """True iff m + chi_s - chi_t stays in the set (box included): one
+    membership query on the shifted vector.
 
     This is the membership-delta primitive: for m in the set it is
     equivalent to the absence of an m-tight set containing t and avoiding s.
     """
     if s == t:
         raise ValueError("exchange needs distinct elements")
-    m = as_intvec(m, B.n)
-    if B.upper is not None and m[s] + 1 > B.upper[s]:
-        return False
-    if B.lower is not None and m[t] - 1 < B.lower[t]:
-        return False
-    fp = fast_path(B.oracle.kind, "exchange")
-    if fp is not None:
-        return fp(B, m, s, t)
-    m2 = m.copy()
+    m2 = as_intvec(m, B.n).copy()
     m2[s] += 1
     m2[t] -= 1
-    # box already checked, go straight to the oracle inequalities
-    tab = B.oracle.table()
-    sums = subset_sums(m2)
-    return bool(sums[-1] == tab[-1] and np.all(sums >= tab))
+    return is_member(B, m2)
 
 
 def smallest_tight_set(B: BaseHandle, m, t: int) -> frozenset:
@@ -764,15 +739,6 @@ def brute_decmin_set(points: np.ndarray):
         raise EmptyBaseError("no integral points")
     signatures = [sorted_dec(row) for row in points]
     best = min(signatures)
-    sel = np.array([sig == best for sig in signatures])
-    return points[sel], best
-
-
-def brute_incmax_set(points: np.ndarray):
-    if points.shape[0] == 0:
-        raise EmptyBaseError("no integral points")
-    signatures = [sorted_inc(row) for row in points]
-    best = max(signatures)
     sel = np.array([sig == best for sig in signatures])
     return points[sel], best
 

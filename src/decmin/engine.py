@@ -287,24 +287,19 @@ def beta_covered_member(B: BaseHandle, beta: int) -> np.ndarray:
 def pre_decmin_tighten(B: BaseHandle, m, beta: int) -> np.ndarray:
     """Turn a beta-covered member into a pre-dec-min one: repeatedly move a
     unit off a beta-valued component onto one at most beta - 2, while some
-    exchange allows it."""
+    exchange allows it: the 1-tightening pairs whose t sits at beta."""
     m = as_intvec(m, B.n).copy()
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(range(B.n), key=lambda v: v):
-            if m[t] != beta:
-                continue
-            tight = smallest_tight_set(B, m, t)
-            cands = [s for s in tight if s != t and m[s] <= beta - 2]
-            if not cands:
-                continue
-            s = min(cands, key=lambda v: (int(m[v]), v))
-            m[s] += 1
-            m[t] -= 1
-            changed = True
-            break
-    return m
+
+    def tight(t: int) -> frozenset:
+        return smallest_tight_set(B, m, t) if m[t] == beta else frozenset({t})
+
+    while True:
+        pair = tightening_pair(m, tight)
+        if pair is None:
+            return m
+        s, t = pair
+        m[s] += 1
+        m[t] -= 1
 
 
 def peak_set(B: BaseHandle, beta1: int, m=None) -> frozenset:

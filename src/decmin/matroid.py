@@ -15,7 +15,6 @@ from .core import (
     BaseHandle,
     NEG_INF,
     SetFunctionOracle,
-    as_intvec,
     effective_oracle,
     mask_of,
     register_fast_path,
@@ -380,16 +379,7 @@ def _sum_membership(B: BaseHandle, m) -> bool:
     return _sum_membership_via_intersection(B.oracle, m) is not None
 
 
-def _sum_exchange(B: BaseHandle, m, s: int, t: int) -> bool:
-    m2 = as_intvec(m, B.n).copy()
-    m2[s] += 1
-    m2[t] -= 1
-    return _sum_membership(B, m2)
-
-
-register_fast_path(
-    "matroid-sum", membership=_sum_membership, exchange=_sum_exchange
-)
+register_fast_path("matroid-sum", membership=_sum_membership)
 
 
 def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
@@ -472,18 +462,7 @@ def _aggregate_membership(B: BaseHandle, y) -> bool:
     return _aggregate_realize(B.oracle, y) is not None
 
 
-def _aggregate_exchange(B: BaseHandle, y, s: int, t: int) -> bool:
-    y2 = as_intvec(y, B.n).copy()
-    y2[s] += 1
-    y2[t] -= 1
-    return _aggregate_membership(B, y2)
-
-
-register_fast_path(
-    "matroid-aggregate",
-    membership=_aggregate_membership,
-    exchange=_aggregate_exchange,
-)
+register_fast_path("matroid-aggregate", membership=_aggregate_membership)
 
 
 def decmin_partition_intersection(M: MatroidOracle, blocks: Sequence):

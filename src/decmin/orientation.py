@@ -655,16 +655,7 @@ def _graph_membership(B: BaseHandle, m) -> bool:
     return _orientation_flow(p.n, p.edges, p.weights, m, m).feasible
 
 
-def _graph_exchange(B: BaseHandle, m, s: int, t: int) -> bool:
-    m2 = as_intvec(m, B.n).copy()
-    m2[s] += 1
-    m2[t] -= 1
-    return _graph_membership(B, m2)
-
-
-register_fast_path(
-    "graph-induced", membership=_graph_membership, exchange=_graph_exchange
-)
+register_fast_path("graph-induced", membership=_graph_membership)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,98 @@ class TestSemiMatching:
             )
             assert res.cost == want
 
+    def test_flexible_right_bounds_random(self):
+        # T-degrees free inside [lower_right, upper_right] and |F| free:
+        # the S-degree vectors of feasible subgraphs vary in sum, and only
+        # those of least sum can be dec-min; with one S-node that is all
+        P = SemiMatchingProblem(
+            1,
+            2,
+            [(0, 0), (0, 1), (0, 1), (0, 0)],
+            lower_left=[2],
+            lower_right=[0, 2],
+            edge_caps=[1, 2, 1, 2],
+        )
+        assert decmin_semimatching(P).left_degrees.tolist() == [2]
+        rng = np.random.default_rng(17)
+        done = 0
+        while done < 16:
+            nl, nr, edges = util.random_bipartite(rng, 4, 3, 7)
+            cost = rng.integers(-3, 6, size=len(edges)) if done % 2 else None
+            P = SemiMatchingProblem(
+                nl,
+                nr,
+                edges,
+                lower_right=rng.integers(0, 2, size=nr),
+                upper_right=rng.integers(1, 4, size=nr),
+                lower_left=rng.integers(0, 3, size=nl),
+                edge_caps=rng.integers(1, 3, size=len(edges)),
+                cost=cost,
+            )
+            feas = brute_semimatchings(P)
+            if not feas:
+                with pytest.raises(InfeasibleProblemError):
+                    decmin_semimatching(P)
+                continue
+            done += 1
+            res = decmin_semimatching(P)
+            _, best = util.decmin_rows(np.stack([d for _, d in feas]))
+            assert sorted_dec(res.left_degrees) == best
+            if cost is not None:
+                assert res.cost == min(
+                    int(np.dot(z, cost)) for z, d in feas if sorted_dec(d) == best
+                )
+
+    def test_witness_is_a_node_set_of_the_graph(self):
+        # orientation view: S first, t as n_left + t; a chosen copy of
+        # edge (s, t) points at s, so t's in-degree is w(t) - d_F(t); the
+        # problems below set lower_left and no upper bound or gamma
+        def check(P):
+            with pytest.raises(InfeasibleProblemError) as exc:
+                decmin_semimatching(P)
+            X = exc.value.witness
+            nl, n = P.n_left, P.n_left + P.n_right
+            assert X <= set(range(n))
+            caps = np.ones(P.m, np.int64) if P.edge_caps is None else P.edge_caps
+            ends = [(s, nl + t) for s, t in P.edges]
+            w = np.zeros(n, np.int64)
+            for (s, t), c in zip(ends, caps):
+                w[s] += c
+                w[t] += c
+            lo_t = hi_t = np.ones(P.n_right, np.int64)
+            if P.t_degrees is not None:
+                lo_t = hi_t = P.t_degrees
+            elif P.lower_right is not None:
+                lo_t, hi_t = P.lower_right, w[nl:]
+            lo = np.concatenate([P.lower_left, w[nl:] - hi_t])
+            hi = np.concatenate([w[:nl], w[nl:] - lo_t])
+            if np.any(lo > hi):
+                assert X == set(np.flatnonzero(lo > hi).tolist())
+                return
+            rest = set(range(n)) - X
+            copies = list(zip(ends, caps.tolist()))
+            inside = sum(c for (a, b), c in copies if a in X and b in X)
+            touching = sum(c for (a, b), c in copies if a in rest or b in rest)
+            assert inside > hi[sorted(X)].sum() or touching < lo[sorted(rest)].sum()
+
+        # two S-nodes must each take the one T-node's single edge
+        check(SemiMatchingProblem(3, 1, [(0, 0), (1, 0), (2, 0)], lower_left=[1, 1, 0]))
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            nl, nr, edges = util.random_bipartite(rng, 4, 3, 6)
+            kind = rng.integers(0, 3)
+            P = SemiMatchingProblem(
+                nl,
+                nr,
+                edges,
+                t_degrees=rng.integers(0, 3, size=nr) if kind == 0 else None,
+                lower_right=rng.integers(0, 3, size=nr) if kind == 1 else None,
+                lower_left=rng.integers(0, 3, size=nl),
+                edge_caps=rng.integers(1, 3, size=len(edges)),
+            )
+            if not brute_semimatchings(P):
+                check(P)
+
     def test_json_loader(self):
         P = load_semimatching_json(
             '{"n_left": 2, "n_right": 1, "edges": [[0,0],[1,0]]}'
