@@ -31,6 +31,7 @@ from .core import (
     SetFunctionOracle,
     as_intvec,
     register_fast_path,
+    text_parser,
 )
 from .engine import basic_decmin
 from .netflow import Digraph, FlowProblem, FlowResult
@@ -217,8 +218,10 @@ def _sm_degrees(P: SemiMatchingProblem, z):
 
 
 def _sm_membership(B: BaseHandle, y) -> bool:
+    """Realisable, and of sum p(S): free T-degrees realise larger sums too."""
     y = as_intvec(y, B.n)
-    return B.oracle.flow(y, y).feasible
+    oracle = B.oracle
+    return oracle.flow(y, y).feasible and int(y.sum()) == oracle.value(oracle.full_mask)
 
 
 register_fast_path("semimatching", membership=_sm_membership)
@@ -260,6 +263,7 @@ def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
     return SemiMatchingResult(z, *_sm_degrees(P, z), total_cost)
 
 
+@text_parser
 def load_semimatching_json(text: str) -> SemiMatchingProblem:
     doc = json.loads(text)
     return SemiMatchingProblem(
@@ -468,14 +472,13 @@ def decmin_root_vector(D: Digraph, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def parse_megiddo(text: str) -> MegiddoProblem:
-    """Lines: "p digraph n m", "a u v cap", "S: u ...", "T: v ...",
-    optional "M: amount" (1-indexed nodes)."""
+def _read_digraph(text: str, keys=()):
+    """(Digraph, {key: integers}) of the lines "p digraph n m" and
+    "a u v [cap]" (1-indexed nodes), plus one line per key in keys."""
     n = None
     arcs = []
     caps = []
-    sources = sinks = None
-    amount = None
+    extra = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -486,37 +489,27 @@ def parse_megiddo(text: str) -> MegiddoProblem:
         elif tok[0] == "a":
             arcs.append((int(tok[1]) - 1, int(tok[2]) - 1))
             caps.append(int(tok[3]) if len(tok) > 3 else 1)
-        elif tok[0] == "S:":
-            sources = frozenset(int(x) - 1 for x in tok[1:])
-        elif tok[0] == "T:":
-            sinks = frozenset(int(x) - 1 for x in tok[1:])
-        elif tok[0] == "M:":
-            amount = int(tok[1])
-        else:
-            raise ValueError(f"unknown line: {raw!r}")
-    if n is None or sources is None or sinks is None:
-        raise ValueError("digraph, S: and T: lines are all required")
-    return MegiddoProblem(
-        Digraph(n, arcs, np.array(caps, dtype=np.int64)), sources, sinks, amount
-    )
-
-
-def parse_digraph(text: str) -> Digraph:
-    n = None
-    arcs = []
-    caps = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if tok[0] == "p":
-            n = int(tok[2])
-        elif tok[0] == "a":
-            arcs.append((int(tok[1]) - 1, int(tok[2]) - 1))
-            caps.append(int(tok[3]) if len(tok) > 3 else 1)
+        elif tok[0] in keys:
+            extra[tok[0]] = [int(x) for x in tok[1:]]
         else:
             raise ValueError(f"unknown line: {raw!r}")
     if n is None:
         raise ValueError("missing problem line")
-    return Digraph(n, arcs, np.array(caps, dtype=np.int64))
+    return Digraph(n, arcs, np.array(caps, dtype=np.int64)), extra
+
+
+@text_parser
+def parse_megiddo(text: str) -> MegiddoProblem:
+    """Lines: "p digraph n m", "a u v cap", "S: u ...", "T: v ...",
+    optional "M: amount" (1-indexed nodes)."""
+    D, extra = _read_digraph(text, ("S:", "T:", "M:"))
+    if "S:" not in extra or "T:" not in extra:
+        raise ValueError("digraph, S: and T: lines are all required")
+    (amount,) = extra.get("M:", [None])
+    sources, sinks = (frozenset(v - 1 for v in extra[k]) for k in ("S:", "T:"))
+    return MegiddoProblem(D, sources, sinks, amount)
+
+
+@text_parser
+def parse_digraph(text: str) -> Digraph:
+    return _read_digraph(text)[0]

@@ -105,6 +105,9 @@ def _orientation_payload(orient: orientation.Orientation) -> dict:
 def _cmd_orient(args) -> int:
     with open(args.graph) as fh:
         G, lower, upper = orientation.parse_graph(fh.read())
+    t_set = None
+    if args.min_t:
+        t_set = [int(x) - 1 for x in args.min_t.replace(",", " ").split()]
     try:
         if args.capacitated:
             if G.ell is None:
@@ -119,7 +122,6 @@ def _cmd_orient(args) -> int:
             _emit(payload, args.format)
             return 0
         if args.min_t:
-            t_set = [int(x) - 1 for x in args.min_t.replace(",", " ").split()]
             orient = orientation.decmin_orientation_minT(G, lower, upper, t_set)
         elif args.k > 0:
             orient = orientation.decmin_korient(G, args.k, lower, upper)
@@ -138,11 +140,6 @@ def _cmd_orient(args) -> int:
         )
         return 2
     if args.verify:
-        t_set = (
-            [int(x) - 1 for x in args.min_t.replace(",", " ").split()]
-            if args.min_t
-            else None
-        )
         _verify_orientation(
             G, orient, lower, upper, k=args.k, t_set=t_set,
             cheapest=args.cheapest,
@@ -159,10 +156,8 @@ def _fail_verify(what: str) -> None:
     sys.exit(1)
 
 
-def _scan_orientations(G, lo, hi, k=0, t_set=None):
-    """(in-degree vector, head code) for every feasible orientation."""
-    from .netflow import arc_disjoint_paths_at_least
-
+def _scan_orientations(G, lo, hi, k=0):
+    """(in-degree vector, orientation) for every feasible orientation."""
     for code in range(1 << G.m):
         heads = np.array(
             [v if code >> j & 1 else u for j, (u, v) in enumerate(G.edges)],
@@ -172,16 +167,8 @@ def _scan_orientations(G, lo, hi, k=0, t_set=None):
         deg = orient.indeg
         if np.any(deg < lo) or np.any(deg > hi):
             continue
-        if k > 0:
-            D = orient.digraph()
-            connected = all(
-                arc_disjoint_paths_at_least(D, 0, v, k)
-                and arc_disjoint_paths_at_least(D, v, 0, k)
-                for v in range(1, G.n)
-            )
-            if not connected:
-                continue
-        yield deg, orient
+        if orientation._is_k_connected(orient, k):
+            yield deg, orient
 
 
 def _verify_orientation(G, orient, lower, upper, k=0, t_set=None,
@@ -216,8 +203,7 @@ def _verify_capacitated(G, cap) -> None:
     got = core.sorted_dec(cap.indeg)
     want = core.sorted_dec(orientation.decmin_orientation(expanded).indeg)
     if got != want:
-        print("verification mismatch against the expanded graph", file=sys.stderr)
-        sys.exit(1)
+        _fail_verify("the expanded graph")
 
 
 def _verify_semimatch(P, res) -> None:

@@ -17,6 +17,7 @@ verification oracle by every other module.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -432,7 +433,9 @@ def shift(p: SetFunctionOracle, w) -> SetFunctionOracle:
 # ---------------------------------------------------------------------------
 
 # fast paths keyed by oracle kind; each entry may provide membership,
-# tight-set and initial-member routines
+# tight-set and initial-member routines.  A tight-set routine returns ok with
+# ok[s] true iff s is in the unboxed T_m(t), or None to leave the query to
+# the subset or exchange scan
 _FAST_PATHS: dict = {}
 
 
@@ -587,35 +590,27 @@ def smallest_tight_set(B: BaseHandle, m, t: int) -> frozenset:
     m(t) sits on the lower bound, otherwise the unboxed set minus the
     elements saturating their upper bound.
     """
-    m = as_intvec(m, B.n)
-    fp = fast_path(B.oracle.kind, "tight_set")
-    if fp is not None:
-        return fp(B, m, t)
+    n = B.n
+    m = as_intvec(m, n)
     if B.lower is not None and m[t] - 1 < B.lower[t]:
         return frozenset({t})
-    n = B.n
-    try:
-        tab = B.oracle.table()
-    except CeilingExceeded:
-        # beyond table scale: one exchange query per element (fast paths
-        # registered for the oracle kind keep this polynomial)
-        members = {t}
-        for s in range(n):
-            if s != t and exchange_feasible(B, m, s, t):
-                members.add(s)
-        return frozenset(members)
-    sums = subset_sums(m)
-    ind = _indicator_stack(n)
-    cand = sums[None, :] + ind - ind[t][None, :]
-    ok = np.all(cand >= tab[None, :], axis=1)
-    members = {t}
-    for s in range(n):
-        if s == t or not ok[s]:
-            continue
-        if B.upper is not None and m[s] + 1 > B.upper[s]:
-            continue
-        members.add(s)
-    return frozenset(members)
+    fp = fast_path(B.oracle.kind, "tight_set")
+    ok = None if fp is None else fp(B, m, t)
+    if ok is None:
+        try:
+            tab = B.oracle.table()
+        except CeilingExceeded:
+            # beyond table scale: one exchange query per element (fast paths
+            # registered for the oracle kind keep this polynomial)
+            ok = [s != t and exchange_feasible(B, m, s, t) for s in range(n)]
+        else:
+            ind = _indicator_stack(n)
+            cand = subset_sums(m)[None, :] + ind - ind[t][None, :]
+            ok = np.all(cand >= tab[None, :], axis=1)
+    g = B.upper
+    return frozenset(
+        s for s in range(n) if s == t or (ok[s] and (g is None or m[s] + 1 <= g[s]))
+    )
 
 
 def box_intersection_feasible(B: BaseHandle, lower, upper) -> bool:
@@ -748,6 +743,21 @@ def brute_decmin_set(points: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def text_parser(fn):
+    """Report malformed input as ValueError: the failed lookups of a parser
+    (a missing key or token, a value of the wrong type) become one."""
+
+    @functools.wraps(fn)
+    def parse(text: str):
+        try:
+            return fn(text)
+        except (IndexError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed input: {exc!r}") from None
+
+    return parse
+
+
+@text_parser
 def load_table_json(text: str) -> TableOracle:
     """Set-function table format: {"n": k, "values": {"<mask>": int|"-inf"}}.
     Missing masks default to -inf except the empty set, which is 0."""

@@ -18,6 +18,7 @@ from .core import (
     effective_oracle,
     mask_of,
     register_fast_path,
+    text_parser,
 )
 from .canonical import CanonicalDecomposition
 from .engine import basic_decmin
@@ -72,6 +73,8 @@ def uniform_matroid(n: int, r: int) -> MatroidOracle:
 
 def graphic_matroid(n_nodes: int, edges: Sequence) -> MatroidOracle:
     edges = [(int(u), int(v)) for u, v in edges]
+    if any(not 0 <= x < n_nodes for e in edges for x in e):
+        raise ValueError("edge endpoint out of range")
 
     def forest(X):
         parent = list(range(n_nodes))
@@ -543,6 +546,7 @@ def inout_decmin_orientation(G):
 # ---------------------------------------------------------------------------
 
 
+@text_parser
 def load_matroid_json(text: str) -> MatroidOracle:
     """{"type": graphic|uniform|partition|bases, ...params}."""
     doc = json.loads(text)

@@ -86,29 +86,45 @@ class _Residual:
                     stack.append(v)
         return seen
 
+    def path(self, s: int, t: int):
+        """The arcs of a shortest s->t path of positive residual capacity
+        (breadth-first), or None."""
+        prev_arc = [-1] * self.n
+        prev_arc[s] = s
+        queue = [s]
+        while queue:
+            nxt = []
+            for u in queue:
+                for a in self.adj[u]:
+                    v = self.head[a]
+                    if self.res[a] > 0 and prev_arc[v] == -1:
+                        prev_arc[v] = a
+                        if v == t:
+                            path = []
+                            while v != s:
+                                path.append(prev_arc[v])
+                                v = self.head[prev_arc[v] ^ 1]
+                            return path[::-1]
+                        nxt.append(v)
+            queue = nxt
+        return None
 
-def _bfs_augment(R: _Residual, s: int, t: int):
-    prev = [-1] * R.n
-    prev_arc = [-1] * R.n
-    prev[s] = s
-    queue = [s]
-    while queue:
-        nxt = []
-        for u in queue:
-            for a in R.adj[u]:
-                v = R.head[a]
-                if R.res[a] > 0 and prev[v] == -1:
-                    prev[v] = u
-                    prev_arc[v] = a
-                    if v == t:
-                        path = []
-                        while v != s:
-                            path.append(prev_arc[v])
-                            v = prev[v]
-                        return path[::-1]
-                    nxt.append(v)
-        queue = nxt
-    return None
+    def push(self, path, amount: int) -> None:
+        """Send amount units along the arcs of path."""
+        for a in path:
+            self.res[a] -= amount
+            self.res[a ^ 1] += amount
+
+
+def _max_flow(n, arcs, caps, s, t):
+    """Edmonds-Karp on arc lists: (value, residual network at the end)."""
+    R = _Residual(n, arcs, caps)
+    value = 0
+    while (path := R.path(s, t)) is not None:
+        bottleneck = min(R.res[a] for a in path)
+        R.push(path, bottleneck)
+        value += bottleneck
+    return value, R
 
 
 def max_flow(D: Digraph, s: int, t: int):
@@ -119,17 +135,7 @@ def max_flow(D: Digraph, s: int, t: int):
     """
     if s == t:
         raise ValueError("source and sink must differ")
-    R = _Residual(D.n, D.arcs, D.cap)
-    value = 0
-    while True:
-        path = _bfs_augment(R, s, t)
-        if path is None:
-            break
-        bottleneck = min(R.res[a] for a in path)
-        for a in path:
-            R.res[a] -= bottleneck
-            R.res[a ^ 1] += bottleneck
-        value += bottleneck
+    value, R = _max_flow(D.n, D.arcs, D.cap, s, t)
     seen = R.reach(s)
     flow = np.array([R.flow_on(i) for i in range(D.m)], dtype=np.int64)
     cut = frozenset(v for v in range(D.n) if seen[v])
@@ -140,9 +146,7 @@ def arc_disjoint_paths_at_least(D: Digraph, s: int, t: int, k: int) -> bool:
     """Menger: are there at least k arc-disjoint s->t dipaths?"""
     if k < 1:
         raise ValueError("k must be >= 1")
-    unit = Digraph(D.n, D.arcs, np.ones(D.m, dtype=np.int64))
-    value, _, _ = max_flow(unit, s, t)
-    return value >= k
+    return max_flow(Digraph(D.n, D.arcs, [1] * D.m), s, t)[0] >= k
 
 
 @dataclass
@@ -217,13 +221,12 @@ def feasible_m_flow(P: FlowProblem) -> FlowResult:
     (a witness that the requirement fails on Z)."""
     D = P.digraph
     arcs, caps, _, src, snk, need = _demand_network(P)
-    aux = Digraph(D.n + 2, arcs, np.array(caps, dtype=np.int64))
-    value, flow, cut = max_flow(aux, src, snk)
+    value, R = _max_flow(D.n + 2, arcs, caps, src, snk)
     if value == need:
-        z = P.lower + flow[: D.m]
+        z = P.lower + np.array([R.flow_on(i) for i in range(D.m)], dtype=np.int64)
         return FlowResult(flow=z)
-    witness = frozenset(v for v in cut if v < D.n)
-    return FlowResult(flow=None, witness=witness)
+    seen = R.reach(src)
+    return FlowResult(flow=None, witness=frozenset(v for v in range(D.n) if seen[v]))
 
 
 def _spfa_potentials(n, adj, head, res, cost, src):
@@ -280,9 +283,7 @@ def min_cost_flow(P: FlowProblem) -> FlowResult:
             v = R.head[a ^ 1]
         path.reverse()
         bottleneck = min(R.res[a] for a in path)
-        for a in path:
-            R.res[a] -= bottleneck
-            R.res[a ^ 1] += bottleneck
+        R.push(path, bottleneck)
         sent += bottleneck
     if sent < need:
         seen = R.reach(src)

@@ -7,10 +7,14 @@ The in-degree vectors of orientations of G are the integral points of the
 base-polyhedron of the induced-edge-count function.  Every solver here
 rests on two primitives: one flow on the nodes of G itself
 (_orientation_flow: exact in-degrees, in-degree bounds, block sums and
-costs, with a minimum cut as the infeasibility witness), and one reader of
-smallest tight sets as reachability sets (_tight_sets), where reversing an
-s->t dipath is exactly the exchange m + chi_s - chi_t and the pair to
-reverse comes from engine.tightening_pair.
+costs, with a minimum cut as the infeasibility witness), and one residual
+network of the current orientation (_residual), whose arcs hold the copies
+of each edge headed at either end.  The smallest tight set T_m(t) is the
+set of nodes t reaches in it; reversing delta copies along an s->t dipath
+is the exchange m + delta (chi_s - chi_t), pushed in place along a t->s
+path, with the pair from engine.tightening_pair.  Capacitated graphs run
+the same loop on copy counts, and graph-induced handles read their tight
+sets off the same network (_graph_tight_set).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .core import (
     POS_INF,
     as_intvec,
     register_fast_path,
+    text_parser,
 )
 from .canonical import (
     CanonicalDecomposition,
@@ -84,11 +89,8 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        ends = np.asarray(self.edges, dtype=np.int64).ravel()
+        return np.bincount(ends, minlength=self.n).astype(np.int64)
 
     def induced_oracle(self) -> GraphInducedOracle:
         return GraphInducedOracle(self.n, self.edges, self.ell)
@@ -159,10 +161,7 @@ class Orientation:
 
     @property
     def indeg(self) -> np.ndarray:
-        d = np.zeros(self.graph.n, dtype=np.int64)
-        for h in self.heads:
-            d[h] += 1
-        return d
+        return np.bincount(self.heads, minlength=self.graph.n).astype(np.int64)
 
     @property
     def outdeg(self) -> np.ndarray:
@@ -188,21 +187,18 @@ class CapacitatedOrientation:
 
     def __post_init__(self):
         self.toward_head = as_intvec(self.toward_head, self.graph.m)
-        ell = self.graph.ell
-        if ell is None:
-            ell = np.ones(self.graph.m, dtype=np.int64)
+        ell = 1 if self.graph.ell is None else self.graph.ell
         if np.any(self.toward_head < 0) or np.any(self.toward_head > ell):
             raise ValueError("copy counts must lie in [0, ell]")
 
     @property
     def indeg(self) -> np.ndarray:
-        ell = self.graph.ell
-        if ell is None:
-            ell = np.ones(self.graph.m, dtype=np.int64)
+        z = self.toward_head
+        rest = (1 if self.graph.ell is None else self.graph.ell) - z
         d = np.zeros(self.graph.n, dtype=np.int64)
-        for (u, v), z, k in zip(self.graph.edges, self.toward_head, ell):
-            d[v] += int(z)
-            d[u] += int(k - z)
+        for (u, v), zj, rj in zip(self.graph.edges, z.tolist(), rest.tolist()):
+            d[v] += zj
+            d[u] += rj
         return d
 
 
@@ -266,8 +262,13 @@ def _orient_by_flow(G: Graph, lo, hi, message, cost=None, blocks=None) -> Orient
     res = _orientation_flow(G.n, G.edges, None, lo, hi, cost, blocks)
     if not res.feasible:
         raise InfeasibleOrientationError(message, witness=res.witness)
+    return _oriented(G, res.flow)
+
+
+def _oriented(G: Graph, toward_v) -> Orientation:
+    """The orientation heading edge j = (u, v) at v iff toward_v[j] > 0."""
     uv = np.asarray(G.edges, dtype=np.int64).reshape(-1, 2)
-    return Orientation(G, np.where(res.flow > 0, uv[:, 1], uv[:, 0]))
+    return Orientation(G, np.where(np.asarray(toward_v) > 0, uv[:, 1], uv[:, 0]))
 
 
 def orient_with_indegrees(G: Graph, m) -> Orientation:
@@ -289,105 +290,77 @@ def orient_with_indegrees(G: Graph, m) -> Orientation:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(orient: Orientation):
-    adj = [[] for _ in range(orient.graph.n)]
-    for j, (tail, head) in enumerate(orient.arcs()):
-        adj[tail].append((head, j))
-    return adj
+def _residual(n, edges, ell, toward_v):
+    """(R, in-degrees) of the orientation heading toward_v[j] of the ell(j)
+    copies of edge j = (u, v) at v: arc 2j of R (v -> u) holds those copies
+    and arc 2j+1 (u -> v) the others.  Pushing d along a t -> s path of R
+    reverses d copies of an s -> t dipath: m + d (chi_s - chi_t)."""
+    R = netflow._Residual(n, [(v, u) for u, v in edges], toward_v)
+    deg = [0] * n
+    for j, ((u, v), k) in enumerate(zip(edges, ell)):
+        R.res[2 * j + 1] = int(k) - R.res[2 * j]
+        deg[v] += R.res[2 * j]
+        deg[u] += R.res[2 * j + 1]
+    return R, deg
 
 
-def _reverse_adjacency(adj):
-    radj = [[] for _ in adj]
-    for u, out in enumerate(adj):
-        for v, j in out:
-            radj[v].append((u, j))
-    return radj
+def _residual_of(orient: Orientation):
+    G = orient.graph
+    return _residual(G.n, G.edges, [1] * G.m, orient.heads == [v for _, v in G.edges])
 
 
-def _reach_from(adj, s: int, n: int, allowed=None) -> np.ndarray:
-    seen = np.zeros(n, dtype=bool)
-    seen[s] = True
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v, j in adj[u]:
-            if allowed is not None and not allowed[j]:
-                continue
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
-
-
-def _find_path(adj, s: int, t: int, n: int, allowed=None):
-    """BFS dipath from s to t as a list of edge ids, or None."""
-    prev = {s: (None, None)}
-    queue = [s]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v, j in adj[u]:
-                if allowed is not None and not allowed[j]:
-                    continue
-                if v not in prev:
-                    prev[v] = (u, j)
-                    if v == t:
-                        path = []
-                        while v != s:
-                            u0, j0 = prev[v]
-                            path.append(j0)
-                            v = u0
-                        return path[::-1]
-                    nxt.append(v)
-        queue = nxt
-    return None
-
-
-def _reverse_path(orient: Orientation, path):
-    for j in path:
-        u, v = orient.graph.edges[j]
-        orient.heads[j] = u if orient.heads[j] == v else v
-
-
-def _tight_sets(orient: Orientation, lo, hi, k=0, allowed=None):
-    """(in-degrees, adjacency, tight) of the current orientation, where the
-    cached tight(t) is the smallest tight set of t: the nodes s that reach
-    t along arcs of edges the mask allows, sit below hi(s) and, for
-    connectivity k > 0, have k+1 arc-disjoint s->t dipaths (so reversing
-    one keeps every cut in-degree at k or more); {t} alone when t sits at
-    lo(t).  Reversing an s->t dipath is the exchange m + chi_s - chi_t."""
-    deg = orient.indeg
-    adj = _adjacency(orient)
-    radj = _reverse_adjacency(adj)
-    n = len(deg)
-    below = deg < hi
-    digraph = orient.digraph() if k else None
+def _tight_reader(R, deg, lo, hi, k=0):
+    """The cached tight(t): the nodes s that t reaches in R (s has an
+    s -> t dipath), sit below hi(s) and, for connectivity k > 0, have k+1
+    arc-disjoint s -> t dipaths, i.e. a t -> s flow of k+1 in R (so
+    reversing one keeps every cut in-degree at k or more); {t} alone when
+    t sits at lo(t)."""
+    arcs = [(R.head[a ^ 1], R.head[a]) for a in range(len(R.res))] if k else None
 
     @functools.cache
     def tight(t: int) -> frozenset:
         if deg[t] <= lo[t]:
             return frozenset({t})
-        ok = _reach_from(radj, t, n, allowed) & below
-        ok[t] = False
-        members = np.flatnonzero(ok).tolist()
+        seen = R.reach(t)
+        members = [s for s in range(R.n) if seen[s] and deg[s] < hi[s] and s != t]
         if k:
             members = [
                 s for s in members
-                if arc_disjoint_paths_at_least(digraph, s, t, k + 1)
+                if netflow._max_flow(R.n, arcs, R.res, t, s)[0] > k
             ]
         return frozenset(members + [t])
 
-    return deg, adj, tight
+    return tight
 
 
-def _improve_to_decmin(orient: Orientation, lo, hi, k=0, allowed=None):
-    """Reverse the dipath of a 1-tightening pair until none exists."""
+def _reverse(R, deg, s: int, t: int, limit: int) -> None:
+    """Reverse up to limit copies along an s -> t dipath (a t -> s path of
+    R), as many as its least arc allows."""
+    path = R.path(t, s)
+    d = min([limit] + [R.res[a] for a in path])
+    R.push(path, d)
+    deg[s] += d
+    deg[t] -= d
+
+
+def _improve_to_decmin(R, deg, lo, hi, k=0) -> None:
+    """Reverse the dipath of a 1-tightening pair (s, t) until none exists,
+    delta = min(bottleneck, (deg t - deg s) // 2, hi(s) - deg s,
+    deg t - lo(t)) copies at a time (1 on a simple graph)."""
+    lo, hi = np.asarray(lo).tolist(), np.asarray(hi).tolist()
     while True:
-        deg, adj, tight = _tight_sets(orient, lo, hi, k, allowed)
-        pair = tightening_pair(deg, tight)
+        pair = tightening_pair(deg, _tight_reader(R, deg, lo, hi, k))
         if pair is None:
-            return orient
-        _reverse_path(orient, _find_path(adj, *pair, len(deg), allowed))
+            return
+        s, t = pair
+        delta = min((deg[t] - deg[s]) // 2, hi[s] - deg[s], deg[t] - lo[t])
+        _reverse(R, deg, s, t, delta)
+
+
+def _improved(orient: Orientation, lo, hi, k=0) -> Orientation:
+    R, deg = _residual_of(orient)
+    _improve_to_decmin(R, deg, lo, hi, k)
+    return _oriented(orient.graph, R.res[0::2])
 
 
 def _resolve_bounds(G: Graph, lower, upper):
@@ -415,15 +388,13 @@ def decmin_orientation(G: Graph) -> Orientation:
     """Orientation whose in-degree vector is decreasingly minimal: reverse
     any dipath whose end in-degree exceeds its start in-degree by 2+."""
     orient = Orientation(G, np.array([v for _, v in G.edges], dtype=np.int64))
-    lo = np.zeros(G.n, dtype=np.int64)
-    hi = G.degrees()
-    return _improve_to_decmin(orient, lo, hi)
+    return _improved(orient, np.zeros(G.n, dtype=np.int64), G.degrees())
 
 
 def decmin_orientation_bounded(G: Graph, lower=None, upper=None) -> Orientation:
     """Dec-min among orientations with f(v) <= indeg(v) <= g(v)."""
     lo, hi = _resolve_bounds(G, lower, upper)
-    return _improve_to_decmin(_initial_bounded(G, lo, hi), lo, hi)
+    return _improved(_initial_bounded(G, lo, hi), lo, hi)
 
 
 def decmin_orientation_tspec(G: Graph, t_set, t_degrees) -> Orientation:
@@ -445,7 +416,9 @@ def orientation_canonical(
     orientation, with smallest tight sets realized as reachability sets
     (in-degree-zero sets are exactly the tight ones)."""
     lo, hi = _resolve_bounds(G, lower, upper)
-    deg, _, tight = _tight_sets(orient, lo, hi)
+    R, deg = _residual_of(orient)
+    tight = _tight_reader(R, deg, lo, hi)
+    deg = np.array(deg, dtype=np.int64)
     if np.any(deg < lo) or np.any(deg > hi):
         raise NotDecMinOrientationError("orientation violates the bounds")
     if tightening_pair(deg, tight) is not None:
@@ -513,27 +486,35 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     the frozen cut independently."""
     t_set = frozenset(int(v) for v in t_set)
     lo, hi = _resolve_bounds(G, lower, upper)
-    orient = _initial_bounded(G, lo, hi)
-    n = G.n
+    R, deg = _residual_of(_initial_bounded(G, lo, hi))
     while True:
-        deg, adj, tight = _tight_sets(orient, lo, hi)
+        tight = _tight_reader(R, deg, lo.tolist(), hi.tolist())
         pair = next(
             ((min(tight(t) - t_set), t) for t in sorted(t_set) if tight(t) - t_set),
             None,
         )
         if pair is None:
             break
-        _reverse_path(orient, _find_path(adj, *pair, n))
-    radj = _reverse_adjacency(adj)
-    xt = np.zeros(n, dtype=bool)
+        _reverse(R, deg, *pair, 1)
+    xt = np.zeros(G.n, dtype=bool)
     for t in sorted(t_set):
         if deg[t] > lo[t]:
-            xt |= _reach_from(radj, t, n)
-    in_t = np.isin(np.arange(n), list(t_set))
+            xt |= R.reach(t)
+    in_t = np.isin(np.arange(G.n), list(t_set))
     f2 = np.where(xt & ~in_t, hi, lo)
     g2 = np.where(in_t & ~xt, lo, hi)
-    same_side = np.array([xt[u] == xt[v] for u, v in G.edges], dtype=bool)
-    return _improve_to_decmin(orient, f2, g2, allowed=same_side)
+    # freeze the X_T cut: its arcs carry nothing while both sides improve
+    frozen = [
+        (a, R.res[a])
+        for j, (u, v) in enumerate(G.edges) if xt[u] != xt[v]
+        for a in (2 * j, 2 * j + 1)
+    ]
+    for a, _ in frozen:
+        R.res[a] = 0
+    _improve_to_decmin(R, deg, f2, g2)
+    for a, c in frozen:
+        R.res[a] = c
+    return _oriented(G, R.res[0::2])
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +526,11 @@ def _is_k_connected(orient: Orientation, k: int) -> bool:
     if k == 0:
         return True
     D = orient.digraph()
-    if orient.graph.n == 1:
-        return True
-    v0 = 0
-    for v in range(1, orient.graph.n):
-        if not arc_disjoint_paths_at_least(D, v0, v, k):
-            return False
-        if not arc_disjoint_paths_at_least(D, v, v0, k):
-            return False
-    return True
+    return all(
+        arc_disjoint_paths_at_least(D, 0, v, k)
+        and arc_disjoint_paths_at_least(D, v, 0, k)
+        for v in range(1, orient.graph.n)
+    )
 
 
 def _initial_korient(G: Graph, k: int, lo, hi) -> Orientation:
@@ -617,8 +594,7 @@ def decmin_korient(G: Graph, k: int, lower=None, upper=None) -> Orientation:
         raise InfeasibleOrientationError("empty in-degree box", witness=bad)
     if k == 0:
         return decmin_orientation_bounded(G, lo, hi)
-    orient = _initial_korient(G, k, lo, hi)
-    return _improve_to_decmin(orient, lo, hi, k)
+    return _improved(_initial_korient(G, k, lo, hi), lo, hi, k)
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +604,20 @@ def decmin_korient(G: Graph, k: int, lower=None, upper=None) -> Orientation:
 
 def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
     """Dec-min orientation of the graph in which edge e stands for ell(e)
-    parallel copies, without expanding the edges: the in-degree vectors
-    form the base-polyhedron of the capacity-weighted induced-edge
-    function, and the copy counts are recovered by one feasibility flow."""
+    parallel copies, without expanding the edges.
+
+    The same reversal loop as the other orientations runs on copy counts:
+    it starts with every copy of edge (u, v) headed at v and each reversal
+    moves delta copies along an s -> t dipath of the residual network,
+    delta the least of the path's bottleneck and (deg t - deg s) // 2.
+    The number of reversals is polynomial in n and the total capacity,
+    not strongly polynomial."""
     if G.ell is None:
         raise ValueError("graph carries no edge capacities")
-    from .engine import strongly_poly_decmin  # local import, cycle-free
-
-    m = strongly_poly_decmin(BaseHandle(G.induced_oracle()))
-    res = _orientation_flow(G.n, G.edges, G.ell, m, m)
-    if not res.feasible:
-        raise RuntimeError("dec-min in-degree vector was not realizable")
-    return CapacitatedOrientation(G, res.flow)
+    ell = G.ell.tolist()
+    R, deg = _residual(G.n, G.edges, ell, ell)
+    _improve_to_decmin(R, deg, [0] * G.n, [sum(ell)] * G.n)
+    return CapacitatedOrientation(G, R.res[0::2])
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +625,38 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
 # ---------------------------------------------------------------------------
 
 
+def _graph_reach(B: BaseHandle, m):
+    """reach(t) in the residual network of one orientation realising m, or
+    None when no orientation does; cached on the handle for the last m."""
+    key = m.tobytes()
+    cached = getattr(B, "_graph_reach", None)
+    if cached is None or cached[0] != key:
+        p: GraphInducedOracle = B.oracle
+        res = _orientation_flow(p.n, p.edges, p.weights, m, m)
+        reach = None
+        if res.feasible:
+            R, _ = _residual(p.n, p.edges, p.weights, res.flow)
+            reach = functools.cache(R.reach)
+        B._graph_reach = cached = (key, reach)
+    return cached[1]
+
+
 def _graph_membership(B: BaseHandle, m) -> bool:
     p: GraphInducedOracle = B.oracle
     m = as_intvec(m, p.n)
-    if int(m.sum()) != int(np.sum(p.weights)):
-        return False
-    return _orientation_flow(p.n, p.edges, p.weights, m, m).feasible
+    return int(m.sum()) == int(np.sum(p.weights)) and _graph_reach(B, m) is not None
 
 
-register_fast_path("graph-induced", membership=_graph_membership)
+def _graph_tight_set(B: BaseHandle, m, t: int):
+    """seen[s]: s is in the unboxed T_m(t), i.e. t reaches s (None when m
+    is not realisable)."""
+    reach = _graph_reach(B, m)
+    return None if reach is None else reach(t)
+
+
+register_fast_path(
+    "graph-induced", membership=_graph_membership, tight_set=_graph_tight_set
+)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +665,7 @@ register_fast_path("graph-induced", membership=_graph_membership)
 # ---------------------------------------------------------------------------
 
 
+@text_parser
 def parse_graph(text: str):
     """Parse the orientation problem text format; returns (Graph, lower,
     upper) where the bounds are None when no 'b' lines appear."""

@@ -403,6 +403,30 @@ class TestRootVectors:
                 assert sum(int(got[v]) for v in X) >= k - indeg
 
 
+def test_membership_keeps_the_base_sum():
+    # free T-degrees realise S-degree sums above p(S), which lie outside B'(p)
+    from decmin.applications import SemiMatchingOracle
+    from decmin.core import BaseHandle, exchange_feasible, is_member
+
+    P = SemiMatchingProblem(
+        1, 2, [(0, 0), (0, 1)], lower_right=[0, 0], upper_right=[1, 1]
+    )
+    oracle = SemiMatchingOracle(P)
+    assert oracle.value(oracle.full_mask) == 0
+    handle = BaseHandle(oracle)
+    assert is_member(handle, [0])
+    assert not is_member(handle, [1])
+    assert not is_member(handle, [2])
+    P2 = SemiMatchingProblem(
+        2, 2, [(0, 0), (1, 1), (0, 1)], lower_right=[0, 0], upper_right=[1, 1]
+    )
+    handle2 = BaseHandle(SemiMatchingOracle(P2))
+    assert is_member(handle2, [0, 0])
+    assert not is_member(handle2, [0, 1])
+    # [1, 0] -> [0, 1] keeps the sum 1 > p(S) = 0; both are realisable
+    assert not exchange_feasible(handle2, [1, 0], 1, 0)
+
+
 def test_membership_respects_left_bounds():
     # pinned degree queries must still honor the S-side degree bounds
     from decmin.applications import SemiMatchingOracle

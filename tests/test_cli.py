@@ -140,6 +140,35 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        pytest.param("megiddo", "--instance", "p digraph 3 1\na 1\nS: 1\nT: 3\n",
+                     id="megiddo-short-arc"),
+        pytest.param("megiddo", "--instance", "p digraph 3 1\na 1 3\nS: 1\nT: 3\nM:\n",
+                     id="megiddo-empty-amount"),
+        pytest.param("rootvec", "--digraph", "p digraph 3 1\na 1\n", id="digraph-short-arc"),
+        pytest.param("rootvec", "--digraph", "p\na 1 2\n", id="digraph-short-problem"),
+        pytest.param("semimatch", "--instance", '{"n_right": 1, "edges": [[0, 0]]}',
+                     id="semimatch-no-n-left"),
+        pytest.param("semimatch", "--instance", "[1, 2]", id="semimatch-not-an-object"),
+        pytest.param("matroid-sum", "--matroid",
+                     '{"type": "graphic", "n_nodes": 2, "edges": [[0, 5]]}',
+                     id="matroid-endpoint-out-of-range"),
+        pytest.param("matroid-sum", "--matroid", '{"n": 2, "r": 1}', id="matroid-no-type"),
+        pytest.param("orient", "--graph", "p orient 3 1\ne 1\n", id="graph-short-edge"),
+        pytest.param("decmin", "--table", '{"values": {}}', id="table-no-n"),
+    ],
+)
+def test_malformed_file_exit_code(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    args = [command, flag, str(path)] + (["--k", "1"] if command == "rootvec" else [])
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "decmin.cli", "bogus-command"],

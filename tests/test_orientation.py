@@ -11,9 +11,12 @@ from decmin.canonical import (
 )
 from decmin.core import (
     BaseHandle,
+    TableOracle,
     is_member,
+    smallest_tight_set,
     sorted_dec,
 )
+from decmin.engine import strongly_poly_decmin
 from decmin.orientation import (
     Graph,
     InfeasibleOrientationError,
@@ -358,6 +361,26 @@ class TestCapacitated:
         with pytest.raises(ValueError):
             capacitated_decmin_orientation(util.c4_graph())
 
+    def test_matches_strongly_polynomial_route(self):
+        # capacities up to 10^6: reversals move many copies at a time
+        rng = np.random.default_rng(43)
+        for high in (3, 10**6) * 6:
+            G = util.random_multigraph(rng, max_nodes=12, max_edges=24)
+            G = Graph(G.n, G.edges, ell=rng.integers(1, high + 1, size=G.m))
+            got = capacitated_decmin_orientation(G)
+            want = strongly_poly_decmin(BaseHandle(G.induced_oracle()))
+            assert sorted(got.indeg.tolist()) == sorted(want.tolist())
+
+    def test_certified_at_n200(self):
+        rng = np.random.default_rng(47)
+        n = 200
+        G = util.random_multigraph(rng, max_nodes=n, max_edges=2 * n)
+        G = Graph(G.n, G.edges, ell=rng.integers(1, 4, size=G.m))
+        got = capacitated_decmin_orientation(G)
+        B = BaseHandle(G.induced_oracle())
+        D = canonical_from_decmin(B, got.indeg, check=True)
+        assert duality_gap(B, got.indeg, D.pi_star).gap == 0
+
 
 def test_mixed_graph_objective_rejected():
     with pytest.raises(NotImplementedError):
@@ -385,6 +408,24 @@ def test_graph_induced_fast_path_matches_table():
                 s >= t for s, t in zip(sums, tab)
             )
             assert is_member(handle, m) == table_ans
+
+
+def test_graph_induced_tight_sets_match_table_scan():
+    # the residual-reachability reader equals the subset scan of a table
+    # oracle holding the same values, with and without a box
+    rng = np.random.default_rng(53)
+    for trial in range(12):
+        G = util.random_multigraph(rng, max_nodes=10, max_edges=20)
+        ell = rng.integers(1, 4, size=G.m) if trial % 2 else None
+        oracle = Graph(G.n, G.edges, ell=ell).induced_oracle()
+        table = TableOracle(oracle.table().astype(np.int64).tolist())
+        m = strongly_poly_decmin(BaseHandle(oracle))
+        lower = m - rng.integers(0, 2, size=G.n)
+        upper = m + rng.integers(0, 2, size=G.n)
+        for box in ({}, {"lower": lower, "upper": upper}):
+            fast, scan = BaseHandle(oracle, **box), BaseHandle(table, **box)
+            for t in range(G.n):
+                assert smallest_tight_set(fast, m, t) == smallest_tight_set(scan, m, t)
 
 
 def test_parse_graph_full_format():
