@@ -433,12 +433,11 @@ def _root_membership(B: BaseHandle, m) -> bool:
     # min over X containing v of m~(X) + rho(X) must reach k everywhere:
     # a max flow into each v from a source sigma = n feeding u with m(u)
     n = p.n
-    D = Digraph(
-        n + 1,
-        list(p.arcs) + [(n, u) for u in range(n)],
-        [1] * len(p.arcs) + m.tolist(),
+    arcs = list(p.arcs) + [(n, u) for u in range(n)]
+    caps = [1] * len(p.arcs) + m.tolist()
+    return all(
+        netflow._max_flow(n + 1, arcs, caps, n, v, p.k)[0] >= p.k for v in range(n)
     )
-    return all(netflow.max_flow(D, n, v)[0] >= p.k for v in range(n))
 
 
 register_fast_path("root-vector", membership=_root_membership)

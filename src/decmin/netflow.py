@@ -1,14 +1,22 @@
-"""Integer network-flow plumbing: max-flow/min-cut (Edmonds-Karp),
-arc-disjoint path counting, Hoffman-type feasible flows with lower bounds,
-and successive-shortest-path min-cost flow.
+"""Integer network-flow plumbing: max-flow/min-cut, arc-disjoint path
+counting, Hoffman-type feasible flows with lower bounds, and min-cost flow.
+
+One routine moves flow: ``_blocking_flows`` (Dinic: breadth-first level
+graphs and blocking flows with current-arc pointers).  A max flow is one
+call of it; a min-cost flow is primal-dual, one Dijkstra on reduced costs
+per phase and then blocking flows on the arcs of reduced cost 0.
 
 These make the orientation and flow oracles polynomial instead of
 brute-force; every routine returns integral flows and, on failure, a
-violating node set usable as a certificate.
+violating node set usable as a certificate: the nodes the source reaches
+in the final residual network, the inclusion-minimal minimum cut, which
+is the same for every maximum flow.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,24 +57,21 @@ class _Residual:
 
     def __init__(self, n, arcs, caps, costs=None):
         self.n = n
-        self.head = []
-        self.res = []
-        self.cost = []
+        m = len(arcs)
+        self.head = [0] * (2 * m)
+        self.head[0::2] = [v for _, v in arcs]
+        self.head[1::2] = [u for u, _ in arcs]
+        self.res = [0] * (2 * m)
+        self.res[0::2] = map(int, caps)
+        self.cost = None
+        if costs is not None:
+            self.cost = [0] * (2 * m)
+            self.cost[0::2] = map(int, costs)
+            self.cost[1::2] = [-w for w in self.cost[0::2]]
         self.adj = [[] for _ in range(n)]
-        if costs is None:
-            costs = [0] * len(arcs)
-        for (u, v), c, w in zip(arcs, caps, costs):
-            self._add(u, v, int(c), int(w))
-
-    def _add(self, u, v, c, w):
-        self.adj[u].append(len(self.head))
-        self.head.append(v)
-        self.res.append(c)
-        self.cost.append(w)
-        self.adj[v].append(len(self.head))
-        self.head.append(u)
-        self.res.append(0)
-        self.cost.append(-w)
+        for i, (u, v) in enumerate(arcs):
+            self.adj[u].append(2 * i)
+            self.adj[v].append(2 * i + 1)
 
     def flow_on(self, i: int) -> int:
         return self.res[2 * i + 1]
@@ -116,15 +121,75 @@ class _Residual:
             self.res[a ^ 1] += amount
 
 
-def _max_flow(n, arcs, caps, s, t):
-    """Edmonds-Karp on arc lists: (value, residual network at the end)."""
+def _blocking_flows(R: _Residual, s: int, t: int, limit, adm=None) -> int:
+    """Dinic: push flow from s to t in R, in place, until limit units are
+    sent or t is cut off; returns the amount sent.
+
+    Each phase labels the nodes by breadth-first distance from s and sends
+    a blocking flow along arcs that go one level up, found by a depth-first
+    search that keeps a current-arc pointer per node (each arc is passed
+    over at most once per phase).  adm[a], when given, admits arc a at all.
+    """
+    n, head, res, adj = R.n, R.head, R.res, R.adj
+    if adm is None:
+        adm = res  # every arc of positive residual capacity
+    sent = 0
+    while sent < limit:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            up = level[u] + 1
+            for a in adj[u]:
+                if res[a] and adm[a] and level[head[a]] < 0:
+                    level[head[a]] = up
+                    queue.append(head[a])
+            if level[t] >= 0:
+                break
+        if level[t] < 0:
+            break
+        ptr = [0] * n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                d = min(limit - sent, min(res[a] for a in path))
+                R.push(path, d)
+                sent += d
+                if sent == limit:
+                    return sent
+                # back up to the tail of the first arc the push saturated
+                k = next(i for i, a in enumerate(path) if not res[a])
+                del path[k:]
+                u = head[path[-1]] if path else s
+                continue
+            out, i, up = adj[u], ptr[u], level[u] + 1
+            end = len(out)
+            while i < end:
+                a = out[i]
+                if res[a] and adm[a] and level[head[a]] == up:
+                    break
+                i += 1
+            ptr[u] = i
+            if i < end:
+                path.append(out[i])
+                u = head[out[i]]
+            elif path:
+                # dead end: retreat and skip the arc that led here
+                u = head[path.pop() ^ 1]
+                ptr[u] += 1
+            else:
+                break
+    return sent
+
+
+def _max_flow(n, arcs, caps, s, t, limit=math.inf):
+    """Dinic on arc lists: (value, residual network at the end).  The
+    value stops at limit when one is given (a Menger test needs no more),
+    so the residual network then holds a flow of value limit, not a
+    maximum one."""
     R = _Residual(n, arcs, caps)
-    value = 0
-    while (path := R.path(s, t)) is not None:
-        bottleneck = min(R.res[a] for a in path)
-        R.push(path, bottleneck)
-        value += bottleneck
-    return value, R
+    return _blocking_flows(R, s, t, limit), R
 
 
 def max_flow(D: Digraph, s: int, t: int):
@@ -146,7 +211,9 @@ def arc_disjoint_paths_at_least(D: Digraph, s: int, t: int, k: int) -> bool:
     """Menger: are there at least k arc-disjoint s->t dipaths?"""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return max_flow(Digraph(D.n, D.arcs, [1] * D.m), s, t)[0] >= k
+    if s == t:
+        raise ValueError("source and sink must differ")
+    return _max_flow(D.n, D.arcs, [1] * D.m, s, t, k)[0] >= k
 
 
 @dataclass
@@ -229,62 +296,78 @@ def feasible_m_flow(P: FlowProblem) -> FlowResult:
     return FlowResult(flow=None, witness=frozenset(v for v in range(D.n) if seen[v]))
 
 
-def _spfa_potentials(n, adj, head, res, cost, src):
-    """Bellman-Ford distances in the residual network (None if unreachable)."""
-    dist = [None] * n
-    dist[src] = 0
-    prev_arc = [-1] * n
-
-    def relax_once():
+def _potentials(R: _Residual) -> list:
+    """Bellman-Ford from a virtual node joined to every node at cost 0:
+    potentials under which every arc of positive residual capacity has a
+    nonnegative reduced cost, or ValueError if a cycle of such arcs has
+    negative cost (wherever it lies)."""
+    n, adj, head, res, cost = R.n, R.adj, R.head, R.res, R.cost
+    pi = [0] * n
+    for _ in range(n + 1):
         changed = False
         for u in range(n):
-            if dist[u] is None:
-                continue
+            pu = pi[u]
             for a in adj[u]:
-                if res[a] <= 0:
-                    continue
-                v = head[a]
-                nd = dist[u] + cost[a]
+                if res[a] > 0 and pu + cost[a] < pi[head[a]]:
+                    pi[head[a]] = pu + cost[a]
+                    changed = True
+        if not changed:
+            return pi
+    raise ValueError("negative-cost cycle in the flow network")
+
+
+def _shortest_to(R: _Residual, s: int, t: int, pi: list) -> bool:
+    """Dijkstra from s on the reduced costs cost(a) + pi(tail) - pi(head),
+    stopped once t is settled.  Adds to pi the distance d(v) capped at
+    d(t), which keeps every reduced cost nonnegative and gives 0 to every
+    arc of a shortest s->t path.  False (pi untouched) if t is out of
+    reach."""
+    n, adj, head, res, cost = R.n, R.adj, R.head, R.res, R.cost
+    dist = [None] * n
+    dist[s] = 0
+    done = [False] * n
+    heap = [(0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == t:
+            break
+        base = d + pi[u]
+        for a in adj[u]:
+            v = head[a]
+            if res[a] > 0 and not done[v]:
+                nd = base + cost[a] - pi[v]
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
-                    prev_arc[v] = a
-                    changed = True
-        return changed
-
-    for _ in range(n - 1):
-        if not relax_once():
-            break
-    else:
-        if relax_once():
-            raise ValueError("negative-cost cycle in the flow network")
-    return dist, prev_arc
+                    heapq.heappush(heap, (nd, v))
+    if not done[t]:
+        return False
+    dt = dist[t]
+    for v in range(n):
+        pi[v] += dist[v] if done[v] else dt
+    return True
 
 
 def min_cost_flow(P: FlowProblem) -> FlowResult:
-    """Minimum-cost integral flow with the prescribed net-in-flow, via
-    successive shortest augmenting paths (Bellman-Ford distances, so
-    negative arc costs are fine as long as no negative cycle exists)."""
+    """Minimum-cost integral flow with the prescribed net-in-flow, by the
+    primal-dual method: each phase runs one Dijkstra on reduced costs,
+    moves the potentials by its distances and sends blocking flows along
+    the arcs whose reduced cost is then 0.  Potentials start at 0 when
+    every cost is nonnegative, else from one Bellman-Ford, so negative
+    arc costs are fine; a negative-cost cycle raises ValueError."""
     D = P.digraph
     if P.cost is None:
         raise ValueError("flow problem has no costs")
     arcs, caps, costs, src, snk, need = _demand_network(P)
     R = _Residual(D.n + 2, arcs, caps, costs)
+    pi = _potentials(R) if min(costs, default=0) < 0 else [0] * R.n
+    head, cost = R.head, R.cost
     sent = 0
-    while sent < need:
-        dist, prev_arc = _spfa_potentials(R.n, R.adj, R.head, R.res, R.cost, src)
-        if dist[snk] is None:
-            break
-        # walk back along the shortest path
-        path = []
-        v = snk
-        while v != src:
-            a = prev_arc[v]
-            path.append(a)
-            v = R.head[a ^ 1]
-        path.reverse()
-        bottleneck = min(R.res[a] for a in path)
-        R.push(path, bottleneck)
-        sent += bottleneck
+    while sent < need and _shortest_to(R, src, snk, pi):
+        adm = [cost[a] + pi[head[a ^ 1]] == pi[head[a]] for a in range(len(cost))]
+        sent += _blocking_flows(R, src, snk, need - sent, adm)
     if sent < need:
         seen = R.reach(src)
         witness = frozenset(v for v in range(D.n) if seen[v])

@@ -326,7 +326,7 @@ def _tight_reader(R, deg, lo, hi, k=0):
         if k:
             members = [
                 s for s in members
-                if netflow._max_flow(R.n, arcs, R.res, t, s)[0] > k
+                if netflow._max_flow(R.n, arcs, R.res, t, s, k + 1)[0] > k
             ]
         return frozenset(members + [t])
 
