@@ -6,6 +6,8 @@ packings.
 Each reduction presents its feasible vectors as an M-convex set through a
 flow-backed supermodular oracle, hands the dec-min work to the generic
 engine, and realizes the optimal vector again by one more flow.
+Membership and tight sets come from the residual network of one flow
+realising the vector (orientation.register_realiser).
 
 A semi-matching is an orientation of the bipartite graph G = (S, T; E)
 itself: the chosen copies of each edge point at S and the rest at T, so
@@ -27,6 +29,7 @@ import numpy as np
 from . import netflow
 from .core import (
     BaseHandle,
+    POS_INF,
     RootVectorOracle,
     SetFunctionOracle,
     as_intvec,
@@ -35,7 +38,7 @@ from .core import (
 )
 from .engine import basic_decmin
 from .netflow import Digraph, FlowProblem, FlowResult
-from .orientation import _orientation_flow
+from .orientation import _orientation_flow, _residual, _tight_reader, register_realiser
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -89,18 +92,6 @@ class SemiMatchingProblem:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def left_degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_left, dtype=np.int64)
-        for s, _ in self.edges:
-            d[s] += 1
-        return d
-
-    def right_degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_right, dtype=np.int64)
-        for _, t in self.edges:
-            d[t] += 1
-        return d
 
 
 @dataclass
@@ -217,14 +208,21 @@ def _sm_degrees(P: SemiMatchingProblem, z):
     return degS, degT
 
 
-def _sm_membership(B: BaseHandle, y) -> bool:
-    """Realisable, and of sum p(S): free T-degrees realise larger sums too."""
-    y = as_intvec(y, B.n)
-    oracle = B.oracle
-    return oracle.flow(y, y).feasible and int(y.sum()) == oracle.value(oracle.full_mask)
+def _sm_realise(oracle: SemiMatchingOracle, y):
+    """The residual network of the orientation flow pinning the S-degrees
+    to y, filtered by S's own bounds; its block node is the hub of the
+    T-nodes, with u -> hub while u may gain in-degree and hub -> w while w
+    may lose some.  None unless y is realisable with y(S) = p(S): free
+    T-degrees realise larger sums too."""
+    res = oracle.flow(y, y)
+    if not res.feasible or int(y.sum()) != oracle.value(oracle.full_mask):
+        return None
+    _, lo, hi = oracle.bounds
+    k = oracle.n
+    return _tight_reader(res.residual, y.tolist(), lo[:k].tolist(), hi[:k].tolist())
 
 
-register_fast_path("semimatching", membership=_sm_membership)
+register_realiser("semimatching", _sm_realise)
 
 
 def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
@@ -389,14 +387,28 @@ class MegiddoOracle(SetFunctionOracle):
         return self._memo[mask]
 
 
-def _meg_membership(B: BaseHandle, y) -> bool:
-    o: MegiddoOracle = B.oracle
-    if np.any(y < 0) or int(y.sum()) != o.amount:
-        return False
-    return _meg_network(o.problem, pin=y, amount=o.amount).feasible
+def _meg_realise(o: MegiddoOracle, y):
+    """The residual network of a flow with source out-flows y, on D plus
+    the sink arcs into tau, sources numbered first and every arc
+    reversed, so t reaches s iff s may send one more unit and t one less
+    (T_y(t) = {t} when y(t) = 0).  None when no such flow exists."""
+    if np.any(y < 0):
+        return None
+    res = _meg_network(o.problem, pin=y, amount=o.amount)
+    if not res.feasible:
+        return None
+    D, k, sinks = o.problem.digraph, o.n, sorted(o.problem.sinks)
+    order = o.sources + [v for v in range(D.n + 1) if v not in o.problem.sources]
+    num = np.argsort(order).tolist()
+    arcs = [(num[a], num[b]) for a, b in D.arcs + [(t, D.n) for t in sinks]]
+    # a sink arc carries at most the amount
+    caps = np.concatenate((D.cap, np.full(len(sinks), o.amount + 1)))
+    flow = np.concatenate((res.flow[: D.m], res.flow[D.m + k : D.m + k + len(sinks)]))
+    R, _ = _residual(D.n + 1, arcs, caps, caps - flow)
+    return _tight_reader(R, y.tolist(), [0] * k, [POS_INF] * k)
 
 
-register_fast_path("megiddo", membership=_meg_membership)
+register_realiser("megiddo", _meg_realise)
 
 
 def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:

@@ -81,12 +81,6 @@ class CanonicalDecomposition:
             )
         return self.witness
 
-    def block_of(self, v: int) -> int:
-        for i, block in enumerate(self.partition):
-            if v in block:
-                return i
-        raise KeyError(v)
-
     def __eq__(self, other):
         if not isinstance(other, CanonicalDecomposition):
             return NotImplemented

@@ -58,7 +58,8 @@ def _cmd_decmin(args) -> int:
 def _check_against_brute(B, m) -> None:
     try:
         pts = core.enumerate_integral_points(B)
-    except core.CeilingExceeded:
+    except core.CeilingExceeded as exc:
+        _skip_verify(str(exc))
         return
     _, best = core.brute_decmin_set(pts.points)
     if core.sorted_dec(m) != best:
@@ -105,13 +106,17 @@ def _orientation_payload(orient: orientation.Orientation) -> dict:
 def _cmd_orient(args) -> int:
     with open(args.graph) as fh:
         G, lower, upper = orientation.parse_graph(fh.read())
-    t_set = None
-    if args.min_t:
-        t_set = [int(x) - 1 for x in args.min_t.replace(",", " ").split()]
+    spec = orientation.OrientationSpec(
+        lower,
+        upper,
+        t_set=frozenset((_vec(args.min_t) - 1).tolist()) if args.min_t else None,
+        connectivity=args.k,
+        objective="min-indeg-T" if args.min_t
+        else "cheapest-decmin" if args.cheapest
+        else "decmin",
+    )
     try:
         if args.capacitated:
-            if G.ell is None:
-                raise ValueError("graph file carries no capacities")
             cap = orientation.capacitated_decmin_orientation(G)
             payload = {
                 "toward_head": cap.toward_head.tolist(),
@@ -121,18 +126,7 @@ def _cmd_orient(args) -> int:
                 _verify_capacitated(G, cap)
             _emit(payload, args.format)
             return 0
-        if args.min_t:
-            orient = orientation.decmin_orientation_minT(G, lower, upper, t_set)
-        elif args.k > 0:
-            orient = orientation.decmin_korient(G, args.k, lower, upper)
-        elif args.cheapest:
-            orient = orientation.cheapest_decmin_orientation_bounded(
-                G, lower, upper, G.cost
-            )
-        elif lower is not None or upper is not None:
-            orient = orientation.decmin_orientation_bounded(G, lower, upper)
-        else:
-            orient = orientation.decmin_orientation(G)
+        orient = orientation.solve_orientation_spec(G, spec)
     except orientation.InfeasibleOrientationError as exc:
         _emit(
             {"infeasible": str(exc), "witness": _witness_list(exc.witness)},
@@ -140,10 +134,7 @@ def _cmd_orient(args) -> int:
         )
         return 2
     if args.verify:
-        _verify_orientation(
-            G, orient, lower, upper, k=args.k, t_set=t_set,
-            cheapest=args.cheapest,
-        )
+        _verify_orientation(G, orient, spec)
     payload = _orientation_payload(orient)
     if G.cost is not None:
         payload["cost"] = orientation.orientation_cost(orient, G.cost)
@@ -154,6 +145,10 @@ def _cmd_orient(args) -> int:
 def _fail_verify(what: str) -> None:
     print(f"verification mismatch against {what}", file=sys.stderr)
     sys.exit(1)
+
+
+def _skip_verify(reason: str) -> None:
+    print(f"verification skipped: {reason}", file=sys.stderr)
 
 
 def _scan_orientations(G, lo, hi, k=0):
@@ -171,14 +166,14 @@ def _scan_orientations(G, lo, hi, k=0):
             yield deg, orient
 
 
-def _verify_orientation(G, orient, lower, upper, k=0, t_set=None,
-                        cheapest=False) -> None:
+def _verify_orientation(G, orient, spec) -> None:
     if G.m > 14:
+        _skip_verify(f"{G.m} edges, the 2^m scan stops at 14")
         return
-    lo, hi = orientation._resolve_bounds(G, lower, upper)
-    rows = list(_scan_orientations(G, lo, hi, k=k))
-    if t_set is not None:
-        t_list = sorted(set(t_set))
+    lo, hi = orientation._resolve_bounds(G, spec.lower, spec.upper)
+    rows = list(_scan_orientations(G, lo, hi, k=spec.connectivity))
+    if spec.t_set is not None:
+        t_list = sorted(spec.t_set)
         tmin = min(int(deg[t_list].sum()) for deg, _ in rows)
         rows = [(deg, o) for deg, o in rows if int(deg[t_list].sum()) == tmin]
         if int(orient.indeg[t_list].sum()) != tmin:
@@ -186,7 +181,7 @@ def _verify_orientation(G, orient, lower, upper, k=0, t_set=None,
     best = min(core.sorted_dec(deg) for deg, _ in rows)
     if core.sorted_dec(orient.indeg) != best:
         _fail_verify("the 2^m scan")
-    if cheapest and G.cost is not None:
+    if spec.objective == "cheapest-decmin" and G.cost is not None:
         want = min(
             orientation.orientation_cost(o, G.cost)
             for deg, o in rows
@@ -199,6 +194,7 @@ def _verify_orientation(G, orient, lower, upper, k=0, t_set=None,
 def _verify_capacitated(G, cap) -> None:
     expanded = G.expand()
     if expanded.m > 14:
+        _skip_verify(f"{expanded.m} edge copies, the 2^m scan stops at 14")
         return
     got = core.sorted_dec(cap.indeg)
     want = core.sorted_dec(orientation.decmin_orientation(expanded).indeg)
@@ -211,6 +207,7 @@ def _verify_semimatch(P, res) -> None:
 
     caps = P.edge_caps if P.edge_caps is not None else np.ones(P.m, np.int64)
     if float(np.prod(caps + 1.0)) > 2**14:
+        _skip_verify("more than 2^14 subgraphs to scan")
         return
     best = None
     for z in itertools.product(*[range(int(c) + 1) for c in caps]):
@@ -304,6 +301,7 @@ def _verify_matroid_sum(mats, lower, upper, total) -> None:
         families.append(fam)
         count *= len(fam)
         if count > 2**14:
+            _skip_verify("more than 2^14 basis tuples to scan")
             return
     best = None
     for combo in itertools.product(*families):
@@ -328,6 +326,7 @@ def _verify_megiddo(P, amount, res) -> None:
 
     D = P.digraph
     if float(np.prod(D.cap + 1.0)) > 2**14:
+        _skip_verify("more than 2^14 arc flow vectors to scan")
         return
     srcs = sorted(P.sources)
     best = None
@@ -355,6 +354,7 @@ def _verify_rootvec(D, k, m) -> None:
     import itertools
 
     if (k + 1) ** D.n > 2**14:
+        _skip_verify("more than 2^14 root vectors to scan")
         return
     best = None
     for vec in itertools.product(range(k + 1), repeat=D.n):

@@ -80,10 +80,6 @@ class GroundSet:
         return self.labels.index(label)
 
 
-def ground(n: int) -> GroundSet:
-    return GroundSet(tuple(range(n)))
-
-
 def as_intvec(values: Sequence, n: Optional[int] = None) -> np.ndarray:
     v = np.asarray(values, dtype=np.int64)
     if v.ndim != 1:
@@ -163,10 +159,6 @@ def mask_of(elements: Iterable[int]) -> int:
     for e in elements:
         m |= 1 << e
     return m
-
-
-def elements_of(mask: int, n: int) -> frozenset:
-    return frozenset(v for v in range(n) if mask >> v & 1)
 
 
 def iter_masks(n: int):
@@ -432,22 +424,19 @@ def shift(p: SetFunctionOracle, w) -> SetFunctionOracle:
 # base handles and the membership / exchange / tight-set primitives
 # ---------------------------------------------------------------------------
 
-# fast paths keyed by oracle kind; each entry may provide membership,
-# tight-set and initial-member routines.  A tight-set routine returns ok with
+# fast paths keyed by oracle kind; each entry may provide membership and
+# tight-set routines.  A tight-set routine returns ok with
 # ok[s] true iff s is in the unboxed T_m(t), or None to leave the query to
 # the subset or exchange scan
 _FAST_PATHS: dict = {}
 
 
-def register_fast_path(kind: str, *, membership=None, tight_set=None,
-                       member=None):
+def register_fast_path(kind: str, *, membership=None, tight_set=None):
     entry = _FAST_PATHS.setdefault(kind, {})
     if membership is not None:
         entry["membership"] = membership
     if tight_set is not None:
         entry["tight_set"] = tight_set
-    if member is not None:
-        entry["member"] = member
 
 
 def fast_path(kind: str, op: str):

@@ -21,7 +21,6 @@ from .core import (
     contract,
     effective_oracle,
     enumerate_integral_points,
-    fast_path,
     is_member,
     popcounts,
     smallest_tight_set,
@@ -63,13 +62,9 @@ def initial_member(B: BaseHandle) -> np.ndarray:
     """Some integral element of the set.
 
     Fully supermodular oracles go through the greedy; intersecting/crossing
-    ones fall back to a registered constructor or, at desk scale, an
-    exhaustive scan.  An empty crossing base-polyhedron surfaces as
-    EmptyBaseError.
+    ones fall back, at desk scale, to an exhaustive scan.  An empty
+    crossing base-polyhedron surfaces as EmptyBaseError.
     """
-    ctor = fast_path(B.oracle.kind, "member")
-    if ctor is not None:
-        return ctor(B)
     if B.modularity == "full":
         m = greedy_member(B)
         if not is_member(B, m):

@@ -242,6 +242,7 @@ class FlowResult:
     flow: Optional[np.ndarray]
     witness: Optional[frozenset] = None
     cost: Optional[int] = None
+    residual: Optional[_Residual] = None  # feasible_m_flow's, nodes of P first
 
     @property
     def feasible(self) -> bool:
@@ -291,7 +292,7 @@ def feasible_m_flow(P: FlowProblem) -> FlowResult:
     value, R = _max_flow(D.n + 2, arcs, caps, src, snk)
     if value == need:
         z = P.lower + np.array([R.flow_on(i) for i in range(D.m)], dtype=np.int64)
-        return FlowResult(flow=z)
+        return FlowResult(flow=z, residual=R)
     seen = R.reach(src)
     return FlowResult(flow=None, witness=frozenset(v for v in range(D.n) if seen[v]))
 

@@ -13,8 +13,10 @@ of each edge headed at either end.  The smallest tight set T_m(t) is the
 set of nodes t reaches in it; reversing delta copies along an s->t dipath
 is the exchange m + delta (chi_s - chi_t), pushed in place along a t->s
 path, with the pair from engine.tightening_pair.  Capacitated graphs run
-the same loop on copy counts, and graph-induced handles read their tight
-sets off the same network (_graph_tight_set).
+the same loop on copy counts.  Every oracle kind one flow realises
+(graph-induced sets here, semi-matchings and Megiddo flows in
+applications) reads membership and tight sets off that flow's residual
+network the same way (register_realiser).
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _orientation_flow(n, edges, ell, lo, hi, cost=None, blocks=None):
     if not res.feasible:
         return FlowResult(None, witness=frozenset(v for v in res.witness if v < n))
     moved = res.flow[:mm]
-    return FlowResult(np.where(flip, np.array(ell) - moved, moved))
+    return FlowResult(np.where(flip, np.array(ell) - moved, moved), residual=res.residual)
 
 
 def _orient_by_flow(G: Graph, lo, hi, message, cost=None, blocks=None) -> Orientation:
@@ -310,11 +312,11 @@ def _residual_of(orient: Orientation):
 
 
 def _tight_reader(R, deg, lo, hi, k=0):
-    """The cached tight(t): the nodes s that t reaches in R (s has an
-    s -> t dipath), sit below hi(s) and, for connectivity k > 0, have k+1
-    arc-disjoint s -> t dipaths, i.e. a t -> s flow of k+1 in R (so
-    reversing one keeps every cut in-degree at k or more); {t} alone when
-    t sits at lo(t)."""
+    """The cached tight(t): the nodes s among the first len(deg) of R
+    that t reaches in R (s has an s -> t dipath), sit below hi(s) and, for
+    connectivity k > 0, have k+1 arc-disjoint s -> t dipaths, i.e. a
+    t -> s flow of k+1 in R (so reversing one keeps every cut in-degree at
+    k or more); {t} alone when t sits at lo(t)."""
     arcs = [(R.head[a ^ 1], R.head[a]) for a in range(len(R.res))] if k else None
 
     @functools.cache
@@ -322,7 +324,7 @@ def _tight_reader(R, deg, lo, hi, k=0):
         if deg[t] <= lo[t]:
             return frozenset({t})
         seen = R.reach(t)
-        members = [s for s in range(R.n) if seen[s] and deg[s] < hi[s] and s != t]
+        members = [s for s in range(len(deg)) if seen[s] and deg[s] < hi[s] and s != t]
         if k:
             members = [
                 s for s in members
@@ -621,42 +623,45 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
 
 
 # ---------------------------------------------------------------------------
-# registry: flow-backed membership for graph-induced oracles
+# registry: membership and tight sets of every oracle kind one flow realises
 # ---------------------------------------------------------------------------
 
+_REALISERS: dict = {}
 
-def _graph_reach(B: BaseHandle, m):
-    """reach(t) in the residual network of one orientation realising m, or
-    None when no orientation does; cached on the handle for the last m."""
+
+def register_realiser(kind: str, realise) -> None:
+    """realise(oracle, m): the _tight_reader of a flow realising m, its
+    ground set the first len(m) nodes, or None when m is not in the set."""
+    _REALISERS[kind] = realise
+    register_fast_path(kind, membership=_flow_membership, tight_set=_flow_tight_set)
+
+
+def _realised(B: BaseHandle, m):
+    """realise(B.oracle, m), cached on the handle for the last m."""
     key = m.tobytes()
-    cached = getattr(B, "_graph_reach", None)
+    cached = getattr(B, "_realised", None)
     if cached is None or cached[0] != key:
-        p: GraphInducedOracle = B.oracle
-        res = _orientation_flow(p.n, p.edges, p.weights, m, m)
-        reach = None
-        if res.feasible:
-            R, _ = _residual(p.n, p.edges, p.weights, res.flow)
-            reach = functools.cache(R.reach)
-        B._graph_reach = cached = (key, reach)
+        B._realised = cached = (key, _REALISERS[B.oracle.kind](B.oracle, m))
     return cached[1]
 
 
-def _graph_membership(B: BaseHandle, m) -> bool:
-    p: GraphInducedOracle = B.oracle
-    m = as_intvec(m, p.n)
-    return int(m.sum()) == int(np.sum(p.weights)) and _graph_reach(B, m) is not None
+def _flow_membership(B: BaseHandle, m) -> bool:
+    return _realised(B, m) is not None
 
 
-def _graph_tight_set(B: BaseHandle, m, t: int):
-    """seen[s]: s is in the unboxed T_m(t), i.e. t reaches s (None when m
-    is not realisable)."""
-    reach = _graph_reach(B, m)
-    return None if reach is None else reach(t)
+def _flow_tight_set(B: BaseHandle, m, t: int):
+    tight = _realised(B, m)
+    return None if tight is None else [s in tight(t) for s in range(B.n)]
 
 
-register_fast_path(
-    "graph-induced", membership=_graph_membership, tight_set=_graph_tight_set
-)
+def _graph_realise(p: GraphInducedOracle, m):
+    res = _orientation_flow(p.n, p.edges, p.weights, m, m)
+    if not res.feasible:
+        return None
+    return _tight_reader(res.residual, m.tolist(), [0] * p.n, [POS_INF] * p.n)
+
+
+register_realiser("graph-induced", _graph_realise)
 
 
 # ---------------------------------------------------------------------------

@@ -440,3 +440,32 @@ def test_membership_respects_left_bounds():
     assert not is_member(handle, [2, 0])
     res = decmin_semimatching(P)
     assert res.left_degrees.tolist() == [1, 1]
+
+
+def test_flow_backed_solves_read_no_table_and_no_exchange(monkeypatch):
+    # semi-matchings either side of the subset ceiling and a Megiddo flow
+    # with 24 sources take every tight set from one realising flow
+    from decmin import core
+
+    def forbidden(*args):
+        raise AssertionError("a flow-backed solve read a table or an exchange")
+
+    monkeypatch.setattr(core.SetFunctionOracle, "table", forbidden)
+    monkeypatch.setattr(core, "exchange_feasible", forbidden)
+    rng = np.random.default_rng(5)
+    for n_left, n_right, m in ((7, 14, 28), (22, 11, 33)):
+        edges = {(int(rng.integers(n_left)), t) for t in range(n_right)}
+        while len(edges) < m:
+            edges.add((int(rng.integers(n_left)), int(rng.integers(n_right))))
+        res = decmin_semimatching(SemiMatchingProblem(n_left, n_right, sorted(edges)))
+        assert res.right_degrees.tolist() == [1] * n_right
+        assert int(res.left_degrees.sum()) == n_right
+    n = 60
+    arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+            for _ in range(3 * n)]
+    D = Digraph(n, arcs, rng.integers(1, 5, size=len(arcs)))
+    P = MegiddoProblem(D, range(24), range(24, 27))
+    res = megiddo_discrete(P)
+    psi = net_in_flow(D, res.flow)
+    assert (res.outflow == -psi[:24]).all()
+    assert int(res.outflow.sum()) == max_sendable(P) > 0

@@ -94,6 +94,28 @@ def test_orient_k_and_capacitated(tmp_path, capsys):
     assert sorted(json.loads(out)["indeg"]) == [2, 3]
 
 
+def test_orient_cheapest_with_connectivity_is_an_error(c4_file, capsys):
+    # costs and connectivity cannot be combined: no k-connected answer
+    # with a cost that was never minimised
+    code, out, err = run_cli(
+        ["orient", "--graph", c4_file, "--k", "1", "--cheapest"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: costs and connectivity cannot be combined\n"
+
+
+def test_verify_says_when_it_checks_nothing(tmp_path, capsys):
+    # a 15-cycle is past the 2^m scan: the answer stands, stderr says so
+    path = tmp_path / "c15.g"
+    path.write_text(
+        "p orient 15 15\n" + "".join(f"e {v} {v % 15 + 1}\n" for v in range(1, 16))
+    )
+    plain = run_cli(["orient", "--graph", str(path)], capsys)
+    code, out, err = run_cli(["orient", "--graph", str(path), "--verify"], capsys)
+    assert (code, out) == plain[:2] and code == 0
+    assert err == "verification skipped: 15 edges, the 2^m scan stops at 14\n"
+
+
 def test_semimatch_command(tmp_path, capsys):
     path = tmp_path / "sm.json"
     path.write_text('{"n_left": 2, "n_right": 1, "edges": [[0,0],[1,0]]}')

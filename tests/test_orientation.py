@@ -3,6 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from decmin.applications import (
+    MegiddoOracle,
+    MegiddoProblem,
+    SemiMatchingOracle,
+    SemiMatchingProblem,
+    max_sendable,
+)
 from decmin.canonical import (
     canonical_from_decmin,
     decmin_set_membership,
@@ -12,11 +19,13 @@ from decmin.canonical import (
 from decmin.core import (
     BaseHandle,
     TableOracle,
+    exchange_feasible,
     is_member,
     smallest_tight_set,
     sorted_dec,
 )
 from decmin.engine import strongly_poly_decmin
+from decmin.netflow import Digraph
 from decmin.orientation import (
     Graph,
     InfeasibleOrientationError,
@@ -410,22 +419,85 @@ def test_graph_induced_fast_path_matches_table():
             assert is_member(handle, m) == table_ans
 
 
-def test_graph_induced_tight_sets_match_table_scan():
+def _flow_backed_oracles(kind, rng):
+    """Small oracles of one flow-backed kind, every one with a finite
+    2^n table."""
+    if kind == "graph-induced":
+        for trial in range(12):
+            G = util.random_multigraph(rng, max_nodes=10, max_edges=20)
+            ell = rng.integers(1, 4, size=G.m) if trial % 2 else None
+            yield Graph(G.n, G.edges, ell=ell).induced_oracle()
+    elif kind == "semimatching":
+        done = 0
+        while done < 30:
+            nl, nr, edges = util.random_bipartite(rng, 5, 4, 10)
+            m = len(edges)
+            kw = [
+                dict(t_degrees=rng.integers(0, 3, size=nr)),
+                dict(lower_left=rng.integers(0, 2, size=nl),
+                     upper_left=rng.integers(1, 4, size=nl),
+                     lower_right=rng.integers(0, 2, size=nr),
+                     upper_right=rng.integers(1, 4, size=nr)),
+                dict(upper_left=rng.integers(1, 4, size=nl),
+                     lower_right=np.zeros(nr, np.int64),
+                     upper_right=rng.integers(1, 3, size=nr),
+                     gamma=int(rng.integers(1, 5))),
+                dict(),
+            ][done % 4]
+            if done % 3 == 0:
+                kw["edge_caps"] = rng.integers(1, 3, size=m)
+            oracle = SemiMatchingOracle(SemiMatchingProblem(nl, nr, edges, **kw))
+            if oracle.flow().feasible:
+                done += 1
+                yield oracle
+    else:
+        for trial in range(20):
+            n = int(rng.integers(5, 9))
+            arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                    for _ in range(int(rng.integers(3, 12)))]
+            D = Digraph(n, arcs, rng.integers(0, 3, size=len(arcs)))
+            nodes = rng.permutation(n).tolist()
+            k = int(rng.integers(2, min(4, n - 1) + 1))
+            P = MegiddoProblem(D, nodes[:k], nodes[k:k + 3])
+            yield MegiddoOracle(P, int(rng.integers(0, max_sendable(P) + 1)))
+
+
+@pytest.mark.parametrize("kind", ["graph-induced", "semimatching", "megiddo"])
+def test_flow_tight_sets_match_table_scan(kind):
     # the residual-reachability reader equals the subset scan of a table
-    # oracle holding the same values, with and without a box
+    # oracle holding the same values, with and without a box, at dec-min
+    # and other members; non-members get the table's membership answer
     rng = np.random.default_rng(53)
-    for trial in range(12):
-        G = util.random_multigraph(rng, max_nodes=10, max_edges=20)
-        ell = rng.integers(1, 4, size=G.m) if trial % 2 else None
-        oracle = Graph(G.n, G.edges, ell=ell).induced_oracle()
+    queries = zero_outflow = 0
+    for oracle in _flow_backed_oracles(kind, rng):
         table = TableOracle(oracle.table().astype(np.int64).tolist())
-        m = strongly_poly_decmin(BaseHandle(oracle))
-        lower = m - rng.integers(0, 2, size=G.n)
-        upper = m + rng.integers(0, 2, size=G.n)
-        for box in ({}, {"lower": lower, "upper": upper}):
-            fast, scan = BaseHandle(oracle, **box), BaseHandle(table, **box)
-            for t in range(G.n):
-                assert smallest_tight_set(fast, m, t) == smallest_tight_set(scan, m, t)
+        scan = BaseHandle(table)
+        m = strongly_poly_decmin(scan)
+        members = [m]
+        for _ in range(3 if oracle.n > 1 else 0):
+            s, t = (int(v) for v in rng.choice(oracle.n, size=2, replace=False))
+            if exchange_feasible(scan, m, s, t):
+                m = m.copy()
+                m[s] += 1
+                m[t] -= 1
+                members.append(m)
+        for m in members:
+            zero_outflow += int(np.any(m == 0))
+            lower = m - rng.integers(0, 2, size=oracle.n)
+            upper = m + rng.integers(0, 2, size=oracle.n)
+            for box in ({}, {"lower": lower, "upper": upper}):
+                fast, boxed = BaseHandle(oracle, **box), BaseHandle(table, **box)
+                for t in range(oracle.n):
+                    queries += 1
+                    assert smallest_tight_set(fast, m, t) == smallest_tight_set(
+                        boxed, m, t
+                    )
+            probe = m + rng.integers(-1, 2, size=oracle.n)
+            for y in (probe, m + np.eye(oracle.n, dtype=np.int64)[0]):
+                assert is_member(BaseHandle(oracle), y) == is_member(scan, y)
+    assert queries >= 100
+    if kind == "megiddo":
+        assert zero_outflow
 
 
 def test_parse_graph_full_format():
