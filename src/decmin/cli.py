@@ -106,6 +106,12 @@ def _orientation_payload(orient: orientation.Orientation) -> dict:
 def _cmd_orient(args) -> int:
     with open(args.graph) as fh:
         G, lower, upper = orientation.parse_graph(fh.read())
+    if args.capacitated and (
+        args.k or args.min_t or args.cheapest or lower is not None or upper is not None
+    ):
+        raise ValueError("--capacitated takes no --k, --minT, --cheapest or b lines")
+    if args.min_t and args.cheapest:
+        raise ValueError("--minT and --cheapest cannot be combined")
     spec = orientation.OrientationSpec(
         lower,
         upper,
@@ -271,8 +277,8 @@ def _cmd_matroid_sum(args) -> int:
     upper = _vec(args.upper) if args.upper else None
     try:
         bases, total = matroid.decmin_basis_sum(mats, lower, upper)
-    except (engine.EmptyBaseError, core.EmptyBaseError) as exc:
-        _emit({"infeasible": str(exc), "witness": []}, args.format)
+    except core.EmptyBaseError as exc:
+        _emit({"infeasible": str(exc), "witness": _witness_list(exc.witness)}, args.format)
         return 2
     if args.verify:
         _verify_matroid_sum(mats, lower, upper, total)

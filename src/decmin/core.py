@@ -38,7 +38,12 @@ class CeilingExceeded(RuntimeError):
 
 
 class EmptyBaseError(RuntimeError):
-    """Raised when the base-polyhedron has no integral element."""
+    """Raised when the base-polyhedron has no integral element; ``witness``,
+    when set, is a set on which a bound contradicts the set function."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 def subset_ceiling() -> int:

@@ -6,6 +6,7 @@ orientation that is dec-min in both degree directions at once.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -13,7 +14,9 @@ import numpy as np
 
 from .core import (
     BaseHandle,
+    EmptyBaseError,
     NEG_INF,
+    POS_INF,
     SetFunctionOracle,
     effective_oracle,
     mask_of,
@@ -28,7 +31,8 @@ class MatroidOracle:
     """Independence-oracle matroid on ground set {0, ..., n-1}.
 
     Rank queries run the greedy over the independence oracle; both are
-    memoized.
+    memoized.  ``graph`` is (n_nodes, edges) for a graphic matroid, whose
+    exchanges are read off tree paths instead of the oracle.
     """
 
     def __init__(self, n: int, indep: Callable, name: str = "matroid"):
@@ -36,6 +40,7 @@ class MatroidOracle:
         self._indep = indep
         self.name = name
         self._memo: dict = {frozenset(): True}
+        self.graph: Optional[tuple] = None
 
     def independent(self, X) -> bool:
         X = frozenset(int(v) for v in X)
@@ -93,7 +98,9 @@ def graphic_matroid(n_nodes: int, edges: Sequence) -> MatroidOracle:
             parent[ru] = rv
         return True
 
-    return MatroidOracle(len(edges), forest, "graphic")
+    M = MatroidOracle(len(edges), forest, "graphic")
+    M.graph = (int(n_nodes), edges)
+    return M
 
 
 def partition_matroid(n: int, blocks: Sequence, caps: Sequence) -> MatroidOracle:
@@ -362,7 +369,7 @@ def _sum_membership_via_intersection(oracle: SumOfMatroidsOracle, m) -> Optional
     mats = oracle.matroids
     k = len(mats)
     n = oracle.n
-    if int(np.sum(m)) != sum(M.rank() for M in mats):
+    if int(np.sum(m)) != sum(oracle._full):
         return None
     if np.any(m < 0) or np.any(m > k):
         return None
@@ -371,18 +378,200 @@ def _sum_membership_via_intersection(oracle: SumOfMatroidsOracle, m) -> Optional
     blocks = [frozenset(i * n + v for i in range(k)) for v in range(n)]
     n2 = partition_matroid(k * n, blocks, [int(m[v]) for v in range(n)])
     common = matroid_intersection(n1, n2)
-    if len(common) != sum(M.rank() for M in mats):
+    if len(common) != sum(oracle._full):
         return None
     out = [frozenset(idx - i * n for idx in common if i * n <= idx < (i + 1) * n)
            for i in range(k)]
     return out
 
 
+def _bits(mask: int):
+    """The elements of a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _search(adj: list, start: int, stop: Optional[int] = None) -> dict:
+    """Breadth-first search over bitmask adjacency lists from start:
+    prev[x] is the element x was first reached from (None for start).
+    Stops as soon as stop is reached."""
+    prev = {start: None}
+    seen = 1 << start
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        new = adj[x] & ~seen
+        seen |= new
+        for y in _bits(new):
+            prev[y] = x
+            if y == stop:
+                return prev
+            queue.append(y)
+    return prev
+
+
+def _exchange_masks(M: MatroidOracle, basis: frozenset) -> list:
+    """Per element x outside the basis, the bitmask of the y in it with
+    basis - y + x a basis (the fundamental circuit of x, without x); 0 for
+    the elements of the basis.  Graphic matroids read it off the tree path
+    between the ends of x, others ask the raw independence function."""
+    out = [0] * M.n
+    if M.graph is None:
+        for x in range(M.n):
+            if x not in basis:
+                out[x] = mask_of(y for y in basis if M._indep((basis - {y}) | {x}))
+        return out
+    n_nodes, edges = M.graph
+    adj: list = [[] for _ in range(n_nodes)]
+    for j in basis:
+        u, v = edges[j]
+        adj[u].append((v, j))
+        adj[v].append((u, j))
+    up: list = [None] * n_nodes  # (parent, tree edge to it, depth)
+    for root in range(n_nodes):
+        if up[root] is None:
+            up[root] = (root, -1, 0)
+            stack = [root]
+            while stack:
+                a = stack.pop()
+                for b, j in adj[a]:
+                    if up[b] is None:
+                        up[b] = (a, j, up[a][2] + 1)
+                        stack.append(b)
+    for x, (u, v) in enumerate(edges):
+        if x not in basis:
+            while u != v:
+                if up[u][2] < up[v][2]:
+                    u, v = v, u
+                out[x] |= 1 << up[u][1]
+                u = up[u][0]
+    return out
+
+
+class _SumState:
+    """Bases B_1..B_k of the matroids summing to m, with the exchange
+    graph of their union: arc x -> y when y is in B_i, x is not, and
+    B_i - y + x is a basis of M_i.
+
+    m + chi_s - chi_t is a sum of bases iff s reaches t, and a shortest
+    s -> t path is a valid exchange sequence (Edmonds' matroid partition;
+    Knuth 1973; Schrijver, Combinatorial Optimization, ch. 42).  So T_m(t)
+    is the set of elements that reach t."""
+
+    def __init__(self, matroids: Sequence, bases: Sequence):
+        self.matroids = list(matroids)
+        self.bases = [frozenset(b) for b in bases]
+        self.m = np.zeros(self.matroids[0].n, dtype=np.int64)
+        for b in self.bases:
+            self.m[list(b)] += 1
+        self.arcs = [_exchange_masks(M, b) for M, b in zip(self.matroids, self.bases)]
+        self._adjacency()
+
+    def _adjacency(self) -> None:
+        self.succ = [0] * len(self.m)
+        for masks in self.arcs:
+            for x, out in enumerate(masks):
+                self.succ[x] |= out
+        self.pred = [0] * len(self.m)
+        for x, out in enumerate(self.succ):
+            for y in _bits(out):
+                self.pred[y] |= 1 << x
+
+    def exchange(self, s: int, t: int) -> bool:
+        """Move to m + chi_s - chi_t along a shortest s -> t path; False,
+        with nothing changed, when s does not reach t."""
+        prev = _search(self.succ, s, t)
+        if t not in prev:
+            return False
+        changed = set()
+        y = t
+        while prev[y] is not None:
+            x = prev[y]
+            i = next(i for i, masks in enumerate(self.arcs) if masks[x] >> y & 1)
+            self.bases[i] = (self.bases[i] - {y}) | {x}
+            changed.add(i)
+            y = x
+        for i in changed:
+            self.arcs[i] = _exchange_masks(self.matroids[i], self.bases[i])
+        self.m[s] += 1
+        self.m[t] -= 1
+        self._adjacency()
+        return True
+
+
+def _sum_state(B: BaseHandle, m) -> Optional[_SumState]:
+    """The handle's cached state moved to m: along one shortest exchange
+    path when m is one exchange away from the cached vector, else by one
+    intersection.  None when m is not a sum of bases; the cache stays."""
+    state = getattr(B, "_sum_state", None)
+    if state is not None:
+        diff = m - state.m
+        moved = np.flatnonzero(diff)
+        if moved.size == 0:
+            return state
+        if moved.size == 2 and diff[moved].tolist() in ([1, -1], [-1, 1]):
+            s, t = (int(v) for v in (moved if diff[moved[0]] == 1 else moved[::-1]))
+            return state if state.exchange(s, t) else None
+    bases = _sum_membership_via_intersection(B.oracle, m)
+    if bases is None:
+        return None
+    B._sum_state = _SumState(B.oracle.matroids, bases)
+    return B._sum_state
+
+
 def _sum_membership(B: BaseHandle, m) -> bool:
-    return _sum_membership_via_intersection(B.oracle, m) is not None
+    return _sum_state(B, m) is not None
 
 
-register_fast_path("matroid-sum", membership=_sum_membership)
+def _sum_tight_set(B: BaseHandle, m, t: int):
+    state = _sum_state(B, m)
+    if state is None:
+        return None
+    reach = _search(state.pred, t)
+    return [s in reach for s in range(B.n)]
+
+
+register_fast_path("matroid-sum", membership=_sum_membership, tight_set=_sum_tight_set)
+
+
+def _into_box(B: BaseHandle, state: _SumState) -> None:
+    """Move the state into the handle's box by exchange paths.  A unit
+    leaves v with m(v) > g(v) for the nearest u with m(u) < g(u) that
+    reaches v; then a unit reaches v with m(v) < f(v) from the nearest u
+    with m(u) > f(u) that v reaches.  Neither move breaks a bound that
+    holds.  When no such u exists the box misses the set:
+
+    - the elements T that reach v form the m-tight set T_m(v), so every
+      member x has x(T) >= p(T) = m(T) > g(T);
+    - the elements R that v reaches hold m(R) = r_1(R) + ... + r_k(R),
+      the most any member puts on R, and m(R) < f(R).
+
+    EmptyBaseError then carries T or R as its witness."""
+    n = B.n
+    lo = np.full(n, NEG_INF) if B.lower is None else B.lower
+    hi = np.full(n, POS_INF) if B.upper is None else B.upper
+    for v in range(n):
+        while state.m[v] > hi[v]:
+            reach = _search(state.pred, v)
+            u = next((u for u in reach if state.m[u] < hi[u]), None)
+            if u is None:
+                raise EmptyBaseError(
+                    "the upper bounds sum below p on a tight set",
+                    witness=frozenset(reach),
+                )
+            state.exchange(u, v)
+    for v in range(n):
+        while state.m[v] < lo[v]:
+            reach = _search(state.succ, v)
+            u = next((u for u in reach if state.m[u] > lo[u]), None)
+            if u is None:
+                raise EmptyBaseError(
+                    "the lower bounds sum above the rank sum of a set",
+                    witness=frozenset(reach),
+                )
+            state.exchange(v, u)
 
 
 def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
@@ -390,24 +579,20 @@ def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
     decreasingly minimal, optionally within per-element bounds on how many
     bases may contain each element.
 
-    Returns (list of bases, sum vector).  Membership tests run through
-    matroid intersection against a copy-partition matroid.
+    Returns (list of bases, sum vector).  The solver keeps bases summing
+    to the current vector and the exchange graph of their union (see
+    _SumState): each tight set is one reverse search and each
+    1-tightening step one shortest exchange path, so no set function is
+    evaluated.  The greedy bases enter a box by exchange paths too; an
+    empty intersection raises EmptyBaseError with a witness set.
     """
     oracle = SumOfMatroidsOracle(matroids)
     handle = BaseHandle(oracle, lower=lower, upper=upper)
-    m0 = np.zeros(oracle.n, dtype=np.int64)
-    for M in matroids:
-        for v in M.greedy_basis():
-            m0[v] += 1
-    if not handle.in_box(m0):
-        from .engine import initial_member
-
-        m0 = initial_member(handle)
-    m = basic_decmin(handle, m0)
-    bases = _sum_membership_via_intersection(oracle, m)
-    if bases is None:
-        raise RuntimeError("dec-min sum vector failed to decompose")
-    return bases, m
+    state = _SumState(oracle.matroids, [M.greedy_basis() for M in oracle.matroids])
+    handle._sum_state = state
+    _into_box(handle, state)
+    m = basic_decmin(handle, state.m.copy())
+    return list(_sum_state(handle, m).bases), m
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,8 @@ def solve_orientation_spec(G: Graph, spec: OrientationSpec):
     if spec.objective == "min-indeg-T":
         if spec.t_set is None:
             raise ValueError("min-indeg-T needs a node set")
+        if spec.connectivity:
+            raise ValueError("min-indeg-T and connectivity cannot be combined")
         return decmin_orientation_minT(G, lower, upper, spec.t_set)
     if spec.objective == "cheapest-decmin":
         if spec.connectivity:

@@ -104,6 +104,60 @@ def test_orient_cheapest_with_connectivity_is_an_error(c4_file, capsys):
     assert err == "error: costs and connectivity cannot be combined\n"
 
 
+@pytest.fixture()
+def chorded_c4(tmp_path):
+    path = tmp_path / "c4chord.g"
+    path.write_text("p orient 4 5\ne 1 2\ne 2 3\ne 3 4\ne 4 1\ne 1 3\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--minT", "1", "--k", "1"], "min-indeg-T and connectivity cannot be combined"),
+        (["--minT", "1", "--cheapest"], "--minT and --cheapest cannot be combined"),
+        (["--capacitated", "--k", "1"], "--capacitated takes no --k, --minT, --cheapest or b lines"),
+        (["--capacitated", "--minT", "1"], "--capacitated takes no --k, --minT, --cheapest or b lines"),
+        (["--capacitated", "--cheapest"], "--capacitated takes no --k, --minT, --cheapest or b lines"),
+    ],
+)
+def test_orient_rejects_flags_it_would_drop(chorded_c4, capsys, extra, message):
+    code, out, err = run_cli(["orient", "--graph", str(chorded_c4), *extra], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_orient_capacitated_rejects_bound_lines(chorded_c4, capsys):
+    chorded_c4.write_text(chorded_c4.read_text() + "b 1 0 0\n")
+    code, out, err = run_cli(["orient", "--graph", str(chorded_c4), "--capacitated"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --capacitated takes no --k, --minT, --cheapest or b lines\n"
+
+
+def test_min_indeg_T_spec_rejects_connectivity():
+    from decmin import orientation
+
+    G = orientation.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    spec = orientation.OrientationSpec(
+        t_set=frozenset({0}), connectivity=1, objective="min-indeg-T"
+    )
+    with pytest.raises(ValueError, match="min-indeg-T and connectivity"):
+        orientation.solve_orientation_spec(G, spec)
+
+
+def test_matroid_sum_infeasible_box_carries_witness(tmp_path, capsys):
+    # edge 2 is a bridge: both spanning trees take it, above its bound 1
+    path = tmp_path / "bridge.json"
+    path.write_text('{"type": "graphic", "n_nodes": 3, "edges": [[0,1],[0,1],[1,2]]}')
+    code, out, _ = run_cli(
+        ["matroid-sum", "--matroid", str(path), "--matroid", str(path),
+         "--upper", "2,2,1"],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(out)["witness"] == [2]
+
+
 def test_verify_says_when_it_checks_nothing(tmp_path, capsys):
     # a 15-cycle is past the 2^m scan: the answer stands, stderr says so
     path = tmp_path / "c15.g"

@@ -1,12 +1,26 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from decmin import matroid
 from decmin.canonical import canonical_from_decmin
-from decmin.core import BaseHandle, sorted_dec, value_equivalent
+from decmin.core import (
+    BaseHandle,
+    EmptyBaseError,
+    SetFunctionOracle,
+    TableOracle,
+    exchange_feasible,
+    is_member,
+    mask_of,
+    smallest_tight_set,
+    sorted_dec,
+    value_equivalent,
+)
 from decmin.matroid import (
     MatroidOracle,
+    SumOfMatroidsOracle,
     bases_matroid,
     contract_matroid,
     decmin_basis_sum,
@@ -193,6 +207,181 @@ class TestBasisSum:
             _, got = decmin_basis_sum([M] * k)
             rapid = util.levin_onn_decmin_sum(M, k)
             assert value_equivalent(got, rapid)
+
+
+def _random_matroid(rng, n, kind):
+    """A matroid of the given kind on n elements."""
+    if kind in ("graphic", "explicit-bases", "dual"):
+        nodes = int(rng.integers(2, 6))
+        M = graphic_matroid(nodes, [tuple(int(v) for v in rng.integers(0, nodes, 2))
+                                    for _ in range(n)])
+        if kind == "dual":
+            return dual_matroid(M)
+        if kind == "explicit-bases":
+            r = M.rank()
+            return bases_matroid(n, [c for c in itertools.combinations(range(n), r)
+                                     if M.independent(c)])
+        return M
+    if kind == "uniform":
+        return uniform_matroid(n, int(rng.integers(0, n + 1)))
+    cut = int(rng.integers(1, n))
+    return partition_matroid(n, [range(cut), range(cut, n)],
+                             [int(rng.integers(0, cut + 1)), int(rng.integers(0, n - cut + 1))])
+
+
+def _bases(M):
+    return [frozenset(c) for c in itertools.combinations(range(M.n), M.rank())
+            if M.independent(c)]
+
+
+def _brute_sums(mats):
+    """Every sum of bases, one per matroid."""
+    sums = {(0,) * mats[0].n}
+    for M in mats:
+        fam = _bases(M)
+        sums = {tuple(x + (v in b) for v, x in enumerate(s)) for s in sums for b in fam}
+    return [np.array(s) for s in sums]
+
+
+def _check_bases(mats, bases, m):
+    count = np.zeros(mats[0].n, dtype=np.int64)
+    for M, b in zip(mats, bases):
+        assert M.independent(b) and len(b) == M.rank()
+        count[list(b)] += 1
+    assert count.tolist() == list(m)
+
+
+@pytest.mark.parametrize("kind", ["graphic", "uniform", "partition", "explicit-bases", "dual"])
+def test_matroid_sum_tight_sets_match_table_scan(kind):
+    # the exchange-graph tight sets and memberships against the 2^n scan of
+    # the rank-sum table, at dec-min members and at members one exchange
+    # away (the cached bases move there along one path and back)
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        n = int(rng.integers(2, 7))
+        k = trial % 3 + 1
+        mats = [_random_matroid(rng, n, kind) for _ in range(k)]
+        oracle = SumOfMatroidsOracle(mats)
+        box = {}
+        if trial % 2:
+            box = {"lower": rng.integers(0, 2, n), "upper": rng.integers(1, k + 1, n)}
+        ref = BaseHandle(TableOracle([oracle.value(x) for x in range(1 << n)]), **box)
+        try:
+            _, m = decmin_basis_sum(mats, **box)
+        except EmptyBaseError:
+            assert not any(ref.in_box(x) for x in _brute_sums(mats))
+            continue
+        B = BaseHandle(SumOfMatroidsOracle(mats), **box)
+        steps = [(s, t) for s in range(n) for t in range(n)
+                 if s != t and exchange_feasible(ref, m, s, t)]
+        for s, t in [(None, None)] + steps:
+            x = m.copy()
+            if s is not None:
+                x[s] += 1
+                x[t] -= 1
+            for y in (x, m):
+                assert is_member(B, y)
+                for v in range(n):
+                    assert smallest_tight_set(B, y, v) == smallest_tight_set(ref, y, v)
+                for a, b in itertools.permutations(range(n), 2):
+                    assert exchange_feasible(B, y, a, b) == exchange_feasible(ref, y, a, b)
+
+
+def _connected_multigraph(rng, nodes, edges):
+    out = [(int(rng.integers(0, v)), v) for v in range(1, nodes)]
+    while len(out) < edges:
+        u, v = rng.choice(nodes, size=2, replace=False)
+        out.append((int(u), int(v)))
+    return out
+
+
+def test_unbounded_basis_sum_evaluates_no_set_function(monkeypatch):
+    # no rank-sum table, no value and no intersection: every tight set is
+    # a search in the exchange graph, every step one exchange path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exchange-graph solver evaluated p")
+
+    monkeypatch.setattr(SetFunctionOracle, "table", forbidden)
+    monkeypatch.setattr(SumOfMatroidsOracle, "value", forbidden)
+    monkeypatch.setattr(matroid, "matroid_intersection", forbidden)
+    rng = np.random.default_rng(37)
+    for nodes in (5, 12, 30):
+        mats = [graphic_matroid(nodes, _connected_multigraph(rng, nodes, 2 * nodes))
+                for _ in range(2)]
+        start = time.perf_counter()
+        bases, m = decmin_basis_sum(mats)
+        assert time.perf_counter() - start < 5
+        _check_bases(mats, bases, m)
+
+
+def test_levin_onn_cross_check_past_the_table_ceiling():
+    # 12-14 nodes: more than 20 edges, where the rank-sum table stopped
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        G = util.random_multigraph(rng, max_nodes=14, max_edges=28, min_nodes=12)
+        M = graphic_matroid(G.n, G.edges)
+        k = int(rng.integers(2, 4))
+        bases, got = decmin_basis_sum([M] * k)
+        _check_bases([M] * k, bases, got)
+        assert value_equivalent(got, util.levin_onn_decmin_sum(M, k))
+
+
+def _assert_box_misses(mats, witness, lower, upper):
+    """The witness W is a set no sum of bases fits: p(W) > g(W) with W
+    tight, or the rank sum of W below f(W)."""
+    p = SumOfMatroidsOracle(mats)
+    w = sorted(witness)
+    full = p.value(p.full_mask)
+    need = p.value(mask_of(w))
+    most = full - p.value(p.full_mask & ~mask_of(w))
+    assert need > upper[w].sum() or most < lower[w].sum()
+
+
+def test_bounded_start_matches_brute():
+    rng = np.random.default_rng(43)
+    seen = {"solved": 0, "empty": 0}
+    for trial in range(60):
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(2, 4)) if n <= 7 else 2
+        kinds = ["graphic", "uniform", "partition"]
+        mats = [_random_matroid(rng, n, kinds[int(rng.integers(0, 3))]) for _ in range(k)]
+        lower = rng.integers(0, 2, n)
+        upper = rng.integers(1, k + 1, n)
+        fits = [x for x in _brute_sums(mats)
+                if np.all(x >= lower) and np.all(x <= upper)]
+        if not fits:
+            with pytest.raises(EmptyBaseError) as err:
+                decmin_basis_sum(mats, lower, upper)
+            _assert_box_misses(mats, err.value.witness, lower, upper)
+            seen["empty"] += 1
+            continue
+        bases, m = decmin_basis_sum(mats, lower, upper)
+        _check_bases(mats, bases, m)
+        assert np.all(m >= lower) and np.all(m <= upper)
+        assert sorted_dec(m) == min(sorted_dec(x) for x in fits)
+        seen["solved"] += 1
+    assert min(seen.values()) >= 10
+
+
+def test_bounded_start_past_the_table_ceiling():
+    # two graphic matroids, 12 nodes, 24 edges, each edge in at most one
+    # tree: two edge-disjoint spanning trees plus two edges fit the box
+    rng = np.random.default_rng(47)
+    trees = _connected_multigraph(rng, 12, 11) + _connected_multigraph(rng, 12, 11)
+    edges = trees + _connected_multigraph(rng, 12, 13)[-2:]
+    mats = [graphic_matroid(12, edges)] * 2
+    upper = np.ones(24, dtype=np.int64)
+    bases, m = decmin_basis_sum(mats, upper=upper)
+    _check_bases(mats, bases, m)
+    assert sorted_dec(m) == (1,) * 22 + (0,) * 2
+    # a bridge lies in both trees: the box misses the set, and the
+    # witness is the bridge alone
+    bridged = edges + [(0, 12)]
+    mats = [graphic_matroid(13, bridged)] * 2
+    with pytest.raises(EmptyBaseError) as err:
+        decmin_basis_sum(mats, upper=np.ones(25, dtype=np.int64))
+    assert err.value.witness == {24}
+    _assert_box_misses(mats, err.value.witness, np.zeros(25), np.ones(25))
 
 
 class TestPartitionIntersection:

@@ -16,6 +16,7 @@ from decmin.core import (
     TableOracle,
     iter_masks,
     mask_of,
+    popcounts,
     sorted_dec,
     sorted_inc,
 )
@@ -126,9 +127,9 @@ def random_supermodular_table(rng, n: int, low=-4, high=4) -> TableOracle:
     raise RuntimeError("generator failed to hit the value range")
 
 
-def random_multigraph(rng, max_nodes=7, max_edges=12, connected=True) -> Graph:
+def random_multigraph(rng, max_nodes=7, max_edges=12, connected=True, min_nodes=2) -> Graph:
     for _ in range(1000):
-        n = int(rng.integers(2, max_nodes + 1))
+        n = int(rng.integers(min_nodes, max_nodes + 1))
         m = int(rng.integers(n - 1, max_edges + 1))
         edges = []
         order = rng.permutation(n)
@@ -381,13 +382,31 @@ def parallel_copies_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
             seen.add(v)
         return M.independent({idx // k for idx in X})
 
-    return MatroidOracle(M.n * k, indep, f"{M.name}^parallel{k}")
+    par = MatroidOracle(M.n * k, indep, f"{M.name}^parallel{k}")
+    if M.graph is not None:
+        n_nodes, edges = M.graph
+        par.graph = (n_nodes, [edges[idx // k] for idx in range(M.n * k)])
+    return par
 
 
 def union_k_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
     """k-fold matroid union of M with itself: X independent iff it splits
-    into k independent sets; tested via the union rank formula (exponential
-    in |X|)."""
+    into k independent sets.  Graphic matroids use Nash-Williams' forest
+    cover theorem (X splits into k forests iff no node set U holds more
+    than k(|U| - 1) of its edges), one scan over the node sets; others the
+    union rank formula, exponential in |X|."""
+    if M.graph is not None:
+        n_nodes, edges = M.graph
+        sets = np.arange(1 << n_nodes)
+        spans = [(sets >> u) & (sets >> v) & 1 for u, v in edges]
+        room = k * (popcounts(n_nodes) - 1)
+        room[0] = 0
+
+        def forests(X):
+            held = sum((spans[j] for j in X), np.zeros(1 << n_nodes, dtype=np.int64))
+            return bool(np.all(held <= room))
+
+        return MatroidOracle(M.n, forests, f"{M.name}^union{k}")
 
     def indep(X):
         X = sorted(X)
