@@ -31,8 +31,7 @@ class MatroidOracle:
     """Independence-oracle matroid on ground set {0, ..., n-1}.
 
     Rank queries run the greedy over the independence oracle; both are
-    memoized.  ``graph`` is (n_nodes, edges) for a graphic matroid, whose
-    exchanges are read off tree paths instead of the oracle.
+    memoized.
     """
 
     def __init__(self, n: int, indep: Callable, name: str = "matroid"):
@@ -40,7 +39,6 @@ class MatroidOracle:
         self._indep = indep
         self.name = name
         self._memo: dict = {frozenset(): True}
-        self.graph: Optional[tuple] = None
 
     def independent(self, X) -> bool:
         X = frozenset(int(v) for v in X)
@@ -98,9 +96,7 @@ def graphic_matroid(n_nodes: int, edges: Sequence) -> MatroidOracle:
             parent[ru] = rv
         return True
 
-    M = MatroidOracle(len(edges), forest, "graphic")
-    M.graph = (int(n_nodes), edges)
-    return M
+    return MatroidOracle(len(edges), forest, "graphic")
 
 
 def partition_matroid(n: int, blocks: Sequence, caps: Sequence) -> MatroidOracle:
@@ -415,38 +411,12 @@ def _search(adj: list, start: int, stop: Optional[int] = None) -> dict:
 def _exchange_masks(M: MatroidOracle, basis: frozenset) -> list:
     """Per element x outside the basis, the bitmask of the y in it with
     basis - y + x a basis (the fundamental circuit of x, without x); 0 for
-    the elements of the basis.  Graphic matroids read it off the tree path
-    between the ends of x, others ask the raw independence function."""
+    the elements of the basis.  Asks the raw independence function, so the
+    memo keeps no set of these one-off queries."""
     out = [0] * M.n
-    if M.graph is None:
-        for x in range(M.n):
-            if x not in basis:
-                out[x] = mask_of(y for y in basis if M._indep((basis - {y}) | {x}))
-        return out
-    n_nodes, edges = M.graph
-    adj: list = [[] for _ in range(n_nodes)]
-    for j in basis:
-        u, v = edges[j]
-        adj[u].append((v, j))
-        adj[v].append((u, j))
-    up: list = [None] * n_nodes  # (parent, tree edge to it, depth)
-    for root in range(n_nodes):
-        if up[root] is None:
-            up[root] = (root, -1, 0)
-            stack = [root]
-            while stack:
-                a = stack.pop()
-                for b, j in adj[a]:
-                    if up[b] is None:
-                        up[b] = (a, j, up[a][2] + 1)
-                        stack.append(b)
-    for x, (u, v) in enumerate(edges):
+    for x in range(M.n):
         if x not in basis:
-            while u != v:
-                if up[u][2] < up[v][2]:
-                    u, v = v, u
-                out[x] |= 1 << up[u][1]
-                u = up[u][0]
+            out[x] = mask_of(y for y in basis if M._indep((basis - {y}) | {x}))
     return out
 
 

@@ -382,21 +382,18 @@ def parallel_copies_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
             seen.add(v)
         return M.independent({idx // k for idx in X})
 
-    par = MatroidOracle(M.n * k, indep, f"{M.name}^parallel{k}")
-    if M.graph is not None:
-        n_nodes, edges = M.graph
-        par.graph = (n_nodes, [edges[idx // k] for idx in range(M.n * k)])
-    return par
+    return MatroidOracle(M.n * k, indep, f"{M.name}^parallel{k}")
 
 
-def union_k_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
+def union_k_matroid(M: MatroidOracle, k: int, graph=None) -> MatroidOracle:
     """k-fold matroid union of M with itself: X independent iff it splits
-    into k independent sets.  Graphic matroids use Nash-Williams' forest
-    cover theorem (X splits into k forests iff no node set U holds more
-    than k(|U| - 1) of its edges), one scan over the node sets; others the
-    union rank formula, exponential in |X|."""
-    if M.graph is not None:
-        n_nodes, edges = M.graph
+    into k independent sets.  With graph = (n_nodes, edges), M is the
+    graphic matroid of that multigraph and Nash-Williams' forest cover
+    theorem decides (X splits into k forests iff no node set U holds more
+    than k(|U| - 1) of its edges), one scan over the node sets; otherwise
+    the union rank formula, exponential in |X|."""
+    if graph is not None:
+        n_nodes, edges = graph
         sets = np.arange(1 << n_nodes)
         spans = [(sets >> u) & (sets >> v) & 1 for u, v in edges]
         room = k * (popcounts(n_nodes) - 1)
@@ -419,11 +416,16 @@ def union_k_matroid(M: MatroidOracle, k: int) -> MatroidOracle:
     return MatroidOracle(M.n, indep, f"{M.name}^union{k}")
 
 
-def levin_onn_decmin_sum(M: MatroidOracle, k: int):
+def levin_onn_decmin_sum(M: MatroidOracle, k: int, graph=None):
     """Single-matroid dec-min basis sum through rapid costs on k parallel
-    copies (union matroid + greedy), independent of decmin_basis_sum."""
+    copies (union matroid + greedy), independent of decmin_basis_sum.
+    graph = (n_nodes, edges) when M is that multigraph's graphic matroid
+    (see union_k_matroid)."""
     par = parallel_copies_matroid(M, k)
-    uni = union_k_matroid(par, k)
+    if graph is not None:
+        n_nodes, edges = graph
+        graph = (n_nodes, [edges[idx // k] for idx in range(M.n * k)])
+    uni = union_k_matroid(par, k, graph)
     base = M.n * k + 2
     cost = [base ** (idx % k) for idx in range(M.n * k)]
     basis = min_cost_basis(uni, cost)
