@@ -55,7 +55,7 @@ from .canonical import (
     verify_dual_optimal,
 )
 
-# importing the problem modules registers their oracle fast paths
+# importing the problem modules registers their tight-set readers
 from . import applications, matroid, netflow, orientation  # noqa: F401
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,16 +6,21 @@ packings.
 Each reduction presents its feasible vectors as an M-convex set through a
 flow-backed supermodular oracle, hands the dec-min work to the generic
 engine, and realizes the optimal vector again by one more flow.
-Membership and tight sets come from the residual network of one flow
-realising the vector (orientation.register_realiser).
 
-A semi-matching is an orientation of the bipartite graph G = (S, T; E)
-itself: the chosen copies of each edge point at S and the rest at T, so
-d_F(s) is the in-degree of s and d_F(t) is t's capacity-weighted degree
-w(t) minus its in-degree.  Every semi-matching flow (oracle value,
-membership, start, realization, cheapest dec-min subgraph) is one
-orientation._orientation_flow on S followed by T, and an infeasibility
-witness is a node set of G, with t numbered n_left + t.
+Semi-matchings and Megiddo flows are orientations, and every flow of
+either (oracle value, start, realization, tight-set reader) is one
+orientation._orientation_flow, whose residual network gives the core
+tight-set reader of the kind (orientation._tight_reader):
+
+- a semi-matching orients the bipartite graph G = (S, T; E) itself: the
+  chosen copies of each edge point at S and the rest at T, so d_F(s) is
+  the in-degree of s and d_F(t) is t's capacity-weighted degree w(t)
+  minus its in-degree; nodes are S followed by T, and an infeasibility
+  witness is a node set of G, with t numbered n_left + t;
+- a Megiddo flow orients the reversed arcs of D, one copy per unit of
+  capacity, with the sources numbered first (MegiddoOracle).
+
+Root-vectors register an exact membership test (core.register_membership).
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ from .core import (
     RootVectorOracle,
     SetFunctionOracle,
     as_intvec,
-    register_fast_path,
+    register_membership,
+    register_reader,
     text_parser,
 )
 from .engine import basic_decmin
-from .netflow import Digraph, FlowProblem, FlowResult
-from .orientation import _orientation_flow, _residual, _tight_reader, register_realiser
+from .netflow import Digraph, FlowResult
+from .orientation import _orientation_flow, _tight_reader
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -208,12 +214,13 @@ def _sm_degrees(P: SemiMatchingProblem, z):
     return degS, degT
 
 
-def _sm_realise(oracle: SemiMatchingOracle, y):
+def _sm_realise(B: BaseHandle, y):
     """The residual network of the orientation flow pinning the S-degrees
     to y, filtered by S's own bounds; its block node is the hub of the
     T-nodes, with u -> hub while u may gain in-degree and hub -> w while w
     may lose some.  None unless y is realisable with y(S) = p(S): free
     T-degrees realise larger sums too."""
+    oracle = B.oracle
     res = oracle.flow(y, y)
     if not res.feasible or int(y.sum()) != oracle.value(oracle.full_mask):
         return None
@@ -222,7 +229,7 @@ def _sm_realise(oracle: SemiMatchingOracle, y):
     return _tight_reader(res.residual, y.tolist(), lo[:k].tolist(), hi[:k].tolist())
 
 
-register_realiser("semimatching", _sm_realise)
+register_reader("semimatching", _sm_realise)
 
 
 def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
@@ -310,45 +317,6 @@ class MegiddoResult:
     sources: list
 
 
-def _meg_network(P: MegiddoProblem, pin=None, marker=None, amount=None):
-    D = P.digraph
-    srcs = sorted(P.sources)
-    big = int(D.cap.sum()) + 1
-    sigma, tau = D.n, D.n + 1
-    arcs = list(D.arcs)
-    lows = [0] * D.m
-    highs = [int(c) for c in D.cap]
-    costs = [0] * D.m
-    for i, s in enumerate(srcs):
-        arcs.append((sigma, s))
-        if pin is not None:
-            lows.append(int(pin[i]))
-            highs.append(int(pin[i]))
-        else:
-            lows.append(0)
-            highs.append(big)
-        costs.append(0 if marker is None else int(marker[i]))
-    for t in sorted(P.sinks):
-        arcs.append((t, tau))
-        lows.append(0)
-        highs.append(big)
-        costs.append(0)
-    arcs.append((tau, sigma))
-    lows.append(int(amount))
-    highs.append(int(amount))
-    costs.append(0)
-    problem = FlowProblem(
-        Digraph(D.n + 2, arcs, np.array(highs, dtype=np.int64)),
-        np.array(lows, dtype=np.int64),
-        np.array(highs, dtype=np.int64),
-        np.zeros(D.n + 2, dtype=np.int64),
-        cost=None if marker is None else np.array(costs, dtype=np.int64),
-    )
-    if marker is None:
-        return netflow.feasible_m_flow(problem)
-    return netflow.min_cost_flow(problem)
-
-
 def max_sendable(P: MegiddoProblem) -> int:
     D = P.digraph
     big = int(D.cap.sum()) + 1
@@ -366,7 +334,14 @@ def max_sendable(P: MegiddoProblem) -> int:
 
 class MegiddoOracle(SetFunctionOracle):
     """p(X) = minimum total out-flow of the sources in X among feasible
-    flows of the prescribed amount."""
+    flows of the prescribed amount.
+
+    A flow is an orientation of D's arc copies: arc (a, b) of capacity c
+    becomes the edge (b, a) with c copies, headed at b until a unit of
+    flow heads one at a.  So every node's in-degree is its in-capacity
+    plus its net out-flow: exact at inner nodes, within [0, in-capacity]
+    at sinks, and at least the in-capacity at the sources, which come
+    first and take the amount on top of their in-capacity between them."""
 
     kind = "megiddo"
 
@@ -375,40 +350,61 @@ class MegiddoOracle(SetFunctionOracle):
         self.problem = problem
         self.amount = int(amount)
         self.sources = sorted(problem.sources)
+        D = problem.digraph
+        order = self.sources + [v for v in range(D.n) if v not in problem.sources]
+        num = np.argsort(order).tolist()
+        self.edges = [(num[b], num[a]) for a, b in D.arcs]
+        incap = np.bincount([u for u, _ in self.edges], D.cap, D.n).astype(np.int64)
+        lo = np.where(np.isin(order, sorted(problem.sinks)), 0, incap)
+        self.bounds = lo, np.where(np.arange(D.n) < self._n, int(D.cap.sum()), incap)
         self._memo: dict = {}
+
+    def flow(self, y=None, marker=None) -> FlowResult:
+        """One orientation flow sending the amount: the source out-flows
+        pinned to y when given, the total out-flow of the sources marked 1
+        in marker least when that is given.  The flow counts the units on
+        each arc of D."""
+        D, k = self.problem.digraph, self._n
+        lo, hi = self.bounds
+        if y is not None:
+            pinned = lo[:k] + y
+            lo, hi = (np.concatenate((pinned, b[k:])) for b in (lo, hi))
+        into_sources = int(self.bounds[0][:k].sum()) + self.amount
+        blocks = [(range(k), into_sources), (range(k, D.n), int(D.cap.sum()) - into_sources)]
+        pairs = None
+        if marker is not None:
+            mark = list(marker) + [0] * (D.n - k)
+            pairs = [(mark[u], mark[v]) for u, v in self.edges]
+        return _orientation_flow(D.n, self.edges, D.cap, lo, hi, pairs, blocks)
+
+    def outflow(self, flow) -> np.ndarray:
+        """The net out-flow of each source under an arc flow of D."""
+        return -netflow.net_in_flow(self.problem.digraph, flow)[self.sources]
 
     def value(self, mask: int):
         if mask not in self._memo:
-            marker = [1 if mask >> i & 1 else 0 for i in range(self._n)]
-            res = _meg_network(self.problem, marker=marker, amount=self.amount)
+            marker = [mask >> i & 1 for i in range(self._n)]
+            res = self.flow(marker=marker)
             if not res.feasible:
                 raise InfeasibleProblemError("amount exceeds the max flow")
-            self._memo[mask] = int(res.cost)
+            self._memo[mask] = int(np.dot(self.outflow(res.flow), marker))
         return self._memo[mask]
 
 
-def _meg_realise(o: MegiddoOracle, y):
-    """The residual network of a flow with source out-flows y, on D plus
-    the sink arcs into tau, sources numbered first and every arc
-    reversed, so t reaches s iff s may send one more unit and t one less
-    (T_y(t) = {t} when y(t) = 0).  None when no such flow exists."""
+def _meg_realise(B: BaseHandle, y):
+    """The reachability reader of a flow with source out-flows y: t
+    reaches s in its residual network iff s may send one more unit and t
+    one less (T_y(t) = {t} when y(t) = 0).  None when no such flow
+    exists."""
     if np.any(y < 0):
         return None
-    res = _meg_network(o.problem, pin=y, amount=o.amount)
+    res = B.oracle.flow(y)
     if not res.feasible:
         return None
-    D, k, sinks = o.problem.digraph, o.n, sorted(o.problem.sinks)
-    order = o.sources + [v for v in range(D.n + 1) if v not in o.problem.sources]
-    num = np.argsort(order).tolist()
-    arcs = [(num[a], num[b]) for a, b in D.arcs + [(t, D.n) for t in sinks]]
-    # a sink arc carries at most the amount
-    caps = np.concatenate((D.cap, np.full(len(sinks), o.amount + 1)))
-    flow = np.concatenate((res.flow[: D.m], res.flow[D.m + k : D.m + k + len(sinks)]))
-    R, _ = _residual(D.n + 1, arcs, caps, caps - flow)
-    return _tight_reader(R, y.tolist(), [0] * k, [POS_INF] * k)
+    return _tight_reader(res.residual, y.tolist(), [0] * B.n, [POS_INF] * B.n)
 
 
-register_realiser("megiddo", _meg_realise)
+register_reader("megiddo", _meg_realise)
 
 
 def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
@@ -420,17 +416,13 @@ def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
         raise InfeasibleProblemError(
             f"amount {amount} exceeds the maximum sendable {limit}"
         )
-    srcs = sorted(P.sources)
-    first = _meg_network(P, amount=amount)
+    oracle = MegiddoOracle(P, amount)
+    first = oracle.flow()
     assert first.feasible
-    y0 = np.array(
-        [first.flow[P.digraph.m + i] for i in range(len(srcs))], dtype=np.int64
-    )
-    handle = BaseHandle(MegiddoOracle(P, amount))
-    y = basic_decmin(handle, y0)
-    final = _meg_network(P, pin=y, amount=amount)
+    y = basic_decmin(BaseHandle(oracle), oracle.outflow(first.flow))
+    final = oracle.flow(y)
     assert final.feasible
-    return MegiddoResult(final.flow[: P.digraph.m], y, srcs)
+    return MegiddoResult(final.flow, y, oracle.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +432,26 @@ def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
 
 def _root_membership(B: BaseHandle, m) -> bool:
     p: RootVectorOracle = B.oracle
-    if np.any(m < 0) or int(m.sum()) != p.k:
+    if int(m.sum()) != p.k:
         return False
     # min over X containing v of m~(X) + rho(X) must reach k everywhere:
-    # a max flow into each v from a source sigma = n feeding u with m(u)
+    # a max flow into each v from a source sigma = n feeding u with
+    # m(u) > 0, and from each u with m(u) < 0 straight into v (cut when u
+    # is outside X), must reach k plus the negative part of m
     n = p.n
+    neg = [(u, -c) for u, c in enumerate(m.tolist()) if c < 0]
+    need = p.k + sum(c for _, c in neg)
     arcs = list(p.arcs) + [(n, u) for u in range(n)]
-    caps = [1] * len(p.arcs) + m.tolist()
+    caps = [1] * len(p.arcs) + np.maximum(m, 0).tolist()
     return all(
-        netflow._max_flow(n + 1, arcs, caps, n, v, p.k)[0] >= p.k for v in range(n)
+        netflow._max_flow(
+            n + 1, arcs + [(u, v) for u, _ in neg], caps + [c for _, c in neg], n, v, need
+        )[0] >= need
+        for v in range(n)
     )
 
 
-register_fast_path("root-vector", membership=_root_membership)
+register_membership("root-vector", _root_membership)
 
 
 def decmin_root_vector(D: Digraph, k: int) -> np.ndarray:

@@ -22,7 +22,8 @@ from .core import (
     effective_oracle,
     is_member,
     mask_of,
-    smallest_tight_set,
+    member_tight_sets,
+    tight_sets,
 )
 from .engine import strongly_poly_decmin, tightening_pair
 
@@ -137,9 +138,7 @@ def value_fixed_set(D: CanonicalDecomposition, B: BaseHandle, i: int) -> frozens
     """F_i: the largest X inside S_i with beta_i |X| = p_i(X); its elements
     take the value beta_i in every dec-min element."""
     m = D.decmin_element()
-    return _value_fixed(
-        m, lambda u: smallest_tight_set(B, m, u), D.partition[i], D.betas[i]
-    )
+    return _value_fixed(m, member_tight_sets(B, m), D.partition[i], D.betas[i])
 
 
 def canonical_from_tight_sets(m, tight) -> CanonicalDecomposition:
@@ -182,10 +181,11 @@ def canonical_from_decmin(
     a dec-min element through its smallest tight sets.  The output does not
     depend on which dec-min element is supplied."""
     m = as_intvec(m, B.n)
-    tight = functools.cache(lambda u: smallest_tight_set(B, m, u))
+    tight = tight_sets(B, m)
+    if tight is None:
+        raise NotDecMinError("element is not in the M-convex set")
+    tight = functools.cache(tight)
     if check:
-        if not is_member(B, m):
-            raise NotDecMinError("element is not in the M-convex set")
         witness = tightening_pair(m, tight)
         if witness is not None:
             raise NotDecMinError(f"element admits a 1-tightening step {witness}")
@@ -315,6 +315,7 @@ def verify_dual_optimal(D: CanonicalDecomposition, B: BaseHandle, pi) -> bool:
     pi = _pi_values(pi)
     if pi.shape != (D.n,):
         raise ValueError("dual vector has wrong length")
+    tight = member_tight_sets(B, D.decmin_element())
     for i in range(D.q):
         beta = D.betas[i]
         fi = D.value_fixed[i]
@@ -327,8 +328,7 @@ def verify_dual_optimal(D: CanonicalDecomposition, B: BaseHandle, pi) -> bool:
         # st is an arc of D_i iff s lies in T_m(t): T_m(t) n S_i is the
         # smallest X with beta_i |X| = p_i(X) containing t
         for t in fi:
-            tight = smallest_tight_set(B, D.decmin_element(), t)
-            if any(pi[s] < pi[t] for s in fi & tight):
+            if any(pi[s] < pi[t] for s in fi & tight(t)):
                 return False
     return True
 

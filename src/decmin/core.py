@@ -429,25 +429,6 @@ def shift(p: SetFunctionOracle, w) -> SetFunctionOracle:
 # base handles and the membership / exchange / tight-set primitives
 # ---------------------------------------------------------------------------
 
-# fast paths keyed by oracle kind; each entry may provide membership and
-# tight-set routines.  A tight-set routine returns ok with
-# ok[s] true iff s is in the unboxed T_m(t), or None to leave the query to
-# the subset or exchange scan
-_FAST_PATHS: dict = {}
-
-
-def register_fast_path(kind: str, *, membership=None, tight_set=None):
-    entry = _FAST_PATHS.setdefault(kind, {})
-    if membership is not None:
-        entry["membership"] = membership
-    if tight_set is not None:
-        entry["tight_set"] = tight_set
-
-
-def fast_path(kind: str, op: str):
-    return _FAST_PATHS.get(kind, {}).get(op)
-
-
 @dataclass
 class BaseHandle:
     """An M-convex set: supermodular oracle, modularity flag and an
@@ -546,19 +527,95 @@ def effective_oracle(B: BaseHandle) -> SetFunctionOracle:
     return B._eff
 
 
-def is_member(B: BaseHandle, m) -> bool:
-    """Exact membership test of an integer vector in the M-convex set."""
-    m = as_intvec(m, B.n)
-    if not B.in_box(m):
-        return False
-    fp = fast_path(B.oracle.kind, "membership")
-    if fp is not None:
-        return fp(B, m)
+# one reader per oracle kind: reader(B, m) is None when m is not in the
+# unboxed set B'(p), else tight(t), the unboxed T_m(t) as a frozenset;
+# kinds without one scan the 2^n table
+_READERS: dict = {}
+
+
+def register_reader(kind: str, reader) -> None:
+    _READERS[kind] = reader
+
+
+def _table_reader(B: BaseHandle, m):
+    """The subset scan: m is a member iff every subset sum reaches p and
+    the full one equals it; s is in T_m(t) iff m + chi_s - chi_t is too."""
     tab = B.oracle.table()
     sums = subset_sums(m)
-    if sums[-1] != tab[-1]:
-        return False
-    return bool(np.all(sums >= tab))
+    if sums[-1] != tab[-1] or not np.all(sums >= tab):
+        return None
+    ind = _indicator_stack(B.n)
+
+    def tight(t: int) -> frozenset:
+        ok = np.all(sums[None, :] + ind - ind[t][None, :] >= tab[None, :], axis=1)
+        return frozenset(np.flatnonzero(ok).tolist())
+
+    return tight
+
+
+def _exchange_tight(member, B: BaseHandle, m, t: int) -> frozenset:
+    """T_m(t) by one membership query per element: s is in it iff
+    m + chi_s - chi_t is a member."""
+    out = {t}
+    for s in range(B.n):
+        m2 = m.copy()
+        m2[s] += 1
+        m2[t] -= 1
+        if s == t or member(B, m2):
+            out.add(s)
+    return frozenset(out)
+
+
+def register_membership(kind: str, member) -> None:
+    """A reader from an exact membership test member(B, m) of the unboxed
+    set: the table scan up to the subset ceiling, one membership query per
+    element of each tight set beyond it."""
+
+    def reader(B: BaseHandle, m):
+        if B.n <= subset_ceiling():
+            return _table_reader(B, m)
+        if not member(B, m):
+            return None
+        return functools.partial(_exchange_tight, member, B, m)
+
+    register_reader(kind, reader)
+
+
+def tight_sets(B: BaseHandle, m):
+    """None when m is not in the set (box included), else tight(t): T_m(t),
+    the unique smallest m-tight set containing t, read off one reader.
+
+    With a box this is the boxed variant: {t} alone if m(t) sits on the
+    lower bound, otherwise the unboxed set minus the elements saturating
+    their upper bound.
+    """
+    m = as_intvec(m, B.n).copy()
+    if not B.in_box(m):
+        return None
+    tight = _READERS.get(B.oracle.kind, _table_reader)(B, m)
+    if tight is None or not B.has_box:
+        return tight
+    f, g = B.lower, B.upper
+
+    def boxed(t: int) -> frozenset:
+        if f is not None and m[t] - 1 < f[t]:
+            return frozenset({t})
+        return frozenset(s for s in tight(t) if s == t or g is None or m[s] + 1 <= g[s])
+
+    return boxed
+
+
+def member_tight_sets(B: BaseHandle, m):
+    """tight_sets(B, m) of a member m; ValueError for any other vector."""
+    tight = tight_sets(B, m)
+    if tight is None:
+        raise ValueError("the vector is not in the M-convex set")
+    return tight
+
+
+def is_member(B: BaseHandle, m) -> bool:
+    """Exact membership test of an integer vector in the M-convex set."""
+    return tight_sets(B, m) is not None
 
 
 def exchange_feasible(B: BaseHandle, m, s: int, t: int) -> bool:
@@ -577,34 +634,8 @@ def exchange_feasible(B: BaseHandle, m, s: int, t: int) -> bool:
 
 
 def smallest_tight_set(B: BaseHandle, m, t: int) -> frozenset:
-    """T_m(t): the unique smallest m-tight set containing t; computed via
-    exchanges (s is in T_m(t) iff m + chi_s - chi_t stays in the set).
-
-    When the handle carries a box this is the boxed variant: {t} alone if
-    m(t) sits on the lower bound, otherwise the unboxed set minus the
-    elements saturating their upper bound.
-    """
-    n = B.n
-    m = as_intvec(m, n)
-    if B.lower is not None and m[t] - 1 < B.lower[t]:
-        return frozenset({t})
-    fp = fast_path(B.oracle.kind, "tight_set")
-    ok = None if fp is None else fp(B, m, t)
-    if ok is None:
-        try:
-            tab = B.oracle.table()
-        except CeilingExceeded:
-            # beyond table scale: one exchange query per element (fast paths
-            # registered for the oracle kind keep this polynomial)
-            ok = [s != t and exchange_feasible(B, m, s, t) for s in range(n)]
-        else:
-            ind = _indicator_stack(n)
-            cand = subset_sums(m)[None, :] + ind - ind[t][None, :]
-            ok = np.all(cand >= tab[None, :], axis=1)
-    g = B.upper
-    return frozenset(
-        s for s in range(n) if s == t or (ok[s] and (g is None or m[s] + 1 <= g[s]))
-    )
+    """T_m(t) of a member m (see tight_sets); ValueError for a non-member."""
+    return member_tight_sets(B, m)(t)
 
 
 def box_intersection_feasible(B: BaseHandle, lower, upper) -> bool:

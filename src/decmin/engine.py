@@ -22,8 +22,8 @@ from .core import (
     effective_oracle,
     enumerate_integral_points,
     is_member,
+    member_tight_sets,
     popcounts,
-    smallest_tight_set,
 )
 
 
@@ -31,7 +31,7 @@ class NoGoodMuError(RuntimeError):
     """Raised when ceil(p/b) has no finite maximum (no good integer)."""
 
 
-def greedy_member(B: BaseHandle, order=None, validate: bool = False) -> np.ndarray:
+def greedy_member(B: BaseHandle, order=None) -> np.ndarray:
     """Edmonds' greedy member: m(s_i) = p(Z_i) - p(Z_{i-1}) along a chain.
 
     Requires the effective supermodular function to be finite along the
@@ -53,8 +53,6 @@ def greedy_member(B: BaseHandle, order=None, validate: bool = False) -> np.ndarr
             )
         m[v] = cur - prev
         prev = cur
-    if validate and not is_member(B, m):
-        raise EmptyBaseError("greedy produced a non-member (p not supermodular?)")
     return m
 
 
@@ -96,9 +94,9 @@ def tightening_pair(m, tight: Callable[[int], frozenset]) -> Optional[tuple]:
 
 def one_tightening(B: BaseHandle, m) -> Optional[tuple]:
     """One 1-tightening step: (s, t, m') with m(t) >= m(s) + 2 and m' in the
-    set, or None iff m is dec-min."""
+    set, or None iff m is dec-min; ValueError when m is not in the set."""
     m = as_intvec(m, B.n)
-    pair = tightening_pair(m, lambda t: smallest_tight_set(B, m, t))
+    pair = tightening_pair(m, member_tight_sets(B, m))
     if pair is None:
         return None
     s, t = pair
@@ -284,12 +282,11 @@ def pre_decmin_tighten(B: BaseHandle, m, beta: int) -> np.ndarray:
     unit off a beta-valued component onto one at most beta - 2, while some
     exchange allows it: the 1-tightening pairs whose t sits at beta."""
     m = as_intvec(m, B.n).copy()
-
-    def tight(t: int) -> frozenset:
-        return smallest_tight_set(B, m, t) if m[t] == beta else frozenset({t})
-
     while True:
-        pair = tightening_pair(m, tight)
+        tight = member_tight_sets(B, m)
+        pair = tightening_pair(
+            m, lambda t: tight(t) if m[t] == beta else frozenset({t})
+        )
         if pair is None:
             return m
         s, t = pair
@@ -305,11 +302,8 @@ def peak_set(B: BaseHandle, beta1: int, m=None) -> frozenset:
         m = pre_decmin_tighten(B, beta_covered_member(B, beta1), beta1)
     else:
         m = as_intvec(m, B.n)
-    out = set()
-    for t in range(B.n):
-        if m[t] == beta1:
-            out |= smallest_tight_set(B, m, t)
-    return frozenset(out)
+    tight = member_tight_sets(B, m)
+    return frozenset().union(*(tight(t) for t in range(B.n) if m[t] == beta1))
 
 
 def strongly_poly_decmin(B: BaseHandle) -> np.ndarray:

@@ -20,7 +20,8 @@ from .core import (
     SetFunctionOracle,
     effective_oracle,
     mask_of,
-    register_fast_path,
+    register_membership,
+    register_reader,
     text_parser,
 )
 from .canonical import CanonicalDecomposition
@@ -491,19 +492,17 @@ def _sum_state(B: BaseHandle, m) -> Optional[_SumState]:
     return B._sum_state
 
 
-def _sum_membership(B: BaseHandle, m) -> bool:
-    return _sum_state(B, m) is not None
-
-
-def _sum_tight_set(B: BaseHandle, m, t: int):
+def _sum_reader(B: BaseHandle, m):
+    """T_m(t) is the set of elements that reach t in the exchange graph of
+    bases summing to m."""
     state = _sum_state(B, m)
     if state is None:
         return None
-    reach = _search(state.pred, t)
-    return [s in reach for s in range(B.n)]
+    pred = state.pred
+    return lambda t: frozenset(_search(pred, t))
 
 
-register_fast_path("matroid-sum", membership=_sum_membership, tight_set=_sum_tight_set)
+register_reader("matroid-sum", _sum_reader)
 
 
 def _into_box(B: BaseHandle, state: _SumState) -> None:
@@ -620,7 +619,7 @@ def _aggregate_membership(B: BaseHandle, y) -> bool:
     return _aggregate_realize(B.oracle, y) is not None
 
 
-register_fast_path("matroid-aggregate", membership=_aggregate_membership)
+register_membership("matroid-aggregate", _aggregate_membership)
 
 
 def decmin_partition_intersection(M: MatroidOracle, blocks: Sequence):

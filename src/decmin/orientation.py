@@ -13,10 +13,10 @@ of each edge headed at either end.  The smallest tight set T_m(t) is the
 set of nodes t reaches in it; reversing delta copies along an s->t dipath
 is the exchange m + delta (chi_s - chi_t), pushed in place along a t->s
 path, with the pair from engine.tightening_pair.  Capacitated graphs run
-the same loop on copy counts.  Every oracle kind one flow realises
-(graph-induced sets here, semi-matchings and Megiddo flows in
-applications) reads membership and tight sets off that flow's residual
-network the same way (register_realiser).
+the same loop on copy counts.  Every oracle kind one orientation flow
+realises (graph-induced sets here, semi-matchings and Megiddo flows in
+applications) registers its core tight-set reader as _tight_reader on
+that flow's residual network.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     NEG_INF,
     POS_INF,
     as_intvec,
-    register_fast_path,
+    register_reader,
     text_parser,
 )
 from .canonical import (
@@ -259,7 +259,8 @@ def _orientation_flow(n, edges, ell, lo, hi, cost=None, blocks=None):
     if not res.feasible:
         return FlowResult(None, witness=frozenset(v for v in res.witness if v < n))
     moved = res.flow[:mm]
-    return FlowResult(np.where(flip, np.array(ell) - moved, moved), residual=res.residual)
+    toward_v = np.where(flip, np.array(ell, dtype=np.int64) - moved, moved)
+    return FlowResult(toward_v, residual=res.residual)
 
 
 def _orient_by_flow(G: Graph, lo, hi, message, cost=None, blocks=None) -> Orientation:
@@ -466,14 +467,6 @@ def cheapest_decmin_orientation_bounded(
     )
 
 
-def decmin_orientation_of_mixed_graph(*args, **kwargs):
-    """Dec-min orientation of a mixed graph is rejected: the in-degree
-    vectors of strong/mixed orientations form an intersection of two
-    M-convex sets, where dec-min and inc-max genuinely differ, so the
-    single-base-polyhedron machinery here does not apply."""
-    raise NotImplementedError(decmin_orientation_of_mixed_graph.__doc__)
-
-
 # ---------------------------------------------------------------------------
 # minimizing the in-degree of a node set T first
 # ---------------------------------------------------------------------------
@@ -625,45 +618,21 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
 
 
 # ---------------------------------------------------------------------------
-# registry: membership and tight sets of every oracle kind one flow realises
+# tight sets of the graph-induced set: one flow realising m
 # ---------------------------------------------------------------------------
 
-_REALISERS: dict = {}
 
-
-def register_realiser(kind: str, realise) -> None:
-    """realise(oracle, m): the _tight_reader of a flow realising m, its
-    ground set the first len(m) nodes, or None when m is not in the set."""
-    _REALISERS[kind] = realise
-    register_fast_path(kind, membership=_flow_membership, tight_set=_flow_tight_set)
-
-
-def _realised(B: BaseHandle, m):
-    """realise(B.oracle, m), cached on the handle for the last m."""
-    key = m.tobytes()
-    cached = getattr(B, "_realised", None)
-    if cached is None or cached[0] != key:
-        B._realised = cached = (key, _REALISERS[B.oracle.kind](B.oracle, m))
-    return cached[1]
-
-
-def _flow_membership(B: BaseHandle, m) -> bool:
-    return _realised(B, m) is not None
-
-
-def _flow_tight_set(B: BaseHandle, m, t: int):
-    tight = _realised(B, m)
-    return None if tight is None else [s in tight(t) for s in range(B.n)]
-
-
-def _graph_realise(p: GraphInducedOracle, m):
+def _graph_realise(B: BaseHandle, m):
+    """The reachability reader of the orientation realising the in-degree
+    vector m, or None when there is none."""
+    p = B.oracle
     res = _orientation_flow(p.n, p.edges, p.weights, m, m)
     if not res.feasible:
         return None
     return _tight_reader(res.residual, m.tolist(), [0] * p.n, [POS_INF] * p.n)
 
 
-register_realiser("graph-induced", _graph_realise)
+register_reader("graph-induced", _graph_realise)
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,7 @@ def test_flow_backed_solves_read_no_table_and_no_exchange(monkeypatch):
         raise AssertionError("a flow-backed solve read a table or an exchange")
 
     monkeypatch.setattr(core.SetFunctionOracle, "table", forbidden)
-    monkeypatch.setattr(core, "exchange_feasible", forbidden)
+    monkeypatch.setattr(core, "_exchange_tight", forbidden)
     rng = np.random.default_rng(5)
     for n_left, n_right, m in ((7, 14, 28), (22, 11, 33)):
         edges = {(int(rng.integers(n_left)), t) for t in range(n_right)}

@@ -3,29 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from decmin.applications import (
-    MegiddoOracle,
-    MegiddoProblem,
-    SemiMatchingOracle,
-    SemiMatchingProblem,
-    max_sendable,
-)
 from decmin.canonical import (
     canonical_from_decmin,
     decmin_set_membership,
     duality_gap,
     verify_dual_optimal,
 )
-from decmin.core import (
-    BaseHandle,
-    TableOracle,
-    exchange_feasible,
-    is_member,
-    smallest_tight_set,
-    sorted_dec,
-)
+from decmin.core import BaseHandle, is_member, sorted_dec
 from decmin.engine import strongly_poly_decmin
-from decmin.netflow import Digraph
 from decmin.orientation import (
     Graph,
     InfeasibleOrientationError,
@@ -36,7 +21,6 @@ from decmin.orientation import (
     decmin_orientation,
     decmin_orientation_bounded,
     decmin_orientation_minT,
-    decmin_orientation_of_mixed_graph,
     decmin_orientation_tspec,
     orient_with_indegrees,
     orientation_canonical,
@@ -391,11 +375,6 @@ class TestCapacitated:
         assert duality_gap(B, got.indeg, D.pi_star).gap == 0
 
 
-def test_mixed_graph_objective_rejected():
-    with pytest.raises(NotImplementedError):
-        decmin_orientation_of_mixed_graph()
-
-
 def test_graph_induced_fast_path_matches_table():
     # flow-backed membership/exchange equals the subset-scan answer
     rng = np.random.default_rng(41)
@@ -417,87 +396,6 @@ def test_graph_induced_fast_path_matches_table():
                 s >= t for s, t in zip(sums, tab)
             )
             assert is_member(handle, m) == table_ans
-
-
-def _flow_backed_oracles(kind, rng):
-    """Small oracles of one flow-backed kind, every one with a finite
-    2^n table."""
-    if kind == "graph-induced":
-        for trial in range(12):
-            G = util.random_multigraph(rng, max_nodes=10, max_edges=20)
-            ell = rng.integers(1, 4, size=G.m) if trial % 2 else None
-            yield Graph(G.n, G.edges, ell=ell).induced_oracle()
-    elif kind == "semimatching":
-        done = 0
-        while done < 30:
-            nl, nr, edges = util.random_bipartite(rng, 5, 4, 10)
-            m = len(edges)
-            kw = [
-                dict(t_degrees=rng.integers(0, 3, size=nr)),
-                dict(lower_left=rng.integers(0, 2, size=nl),
-                     upper_left=rng.integers(1, 4, size=nl),
-                     lower_right=rng.integers(0, 2, size=nr),
-                     upper_right=rng.integers(1, 4, size=nr)),
-                dict(upper_left=rng.integers(1, 4, size=nl),
-                     lower_right=np.zeros(nr, np.int64),
-                     upper_right=rng.integers(1, 3, size=nr),
-                     gamma=int(rng.integers(1, 5))),
-                dict(),
-            ][done % 4]
-            if done % 3 == 0:
-                kw["edge_caps"] = rng.integers(1, 3, size=m)
-            oracle = SemiMatchingOracle(SemiMatchingProblem(nl, nr, edges, **kw))
-            if oracle.flow().feasible:
-                done += 1
-                yield oracle
-    else:
-        for trial in range(20):
-            n = int(rng.integers(5, 9))
-            arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
-                    for _ in range(int(rng.integers(3, 12)))]
-            D = Digraph(n, arcs, rng.integers(0, 3, size=len(arcs)))
-            nodes = rng.permutation(n).tolist()
-            k = int(rng.integers(2, min(4, n - 1) + 1))
-            P = MegiddoProblem(D, nodes[:k], nodes[k:k + 3])
-            yield MegiddoOracle(P, int(rng.integers(0, max_sendable(P) + 1)))
-
-
-@pytest.mark.parametrize("kind", ["graph-induced", "semimatching", "megiddo"])
-def test_flow_tight_sets_match_table_scan(kind):
-    # the residual-reachability reader equals the subset scan of a table
-    # oracle holding the same values, with and without a box, at dec-min
-    # and other members; non-members get the table's membership answer
-    rng = np.random.default_rng(53)
-    queries = zero_outflow = 0
-    for oracle in _flow_backed_oracles(kind, rng):
-        table = TableOracle(oracle.table().astype(np.int64).tolist())
-        scan = BaseHandle(table)
-        m = strongly_poly_decmin(scan)
-        members = [m]
-        for _ in range(3 if oracle.n > 1 else 0):
-            s, t = (int(v) for v in rng.choice(oracle.n, size=2, replace=False))
-            if exchange_feasible(scan, m, s, t):
-                m = m.copy()
-                m[s] += 1
-                m[t] -= 1
-                members.append(m)
-        for m in members:
-            zero_outflow += int(np.any(m == 0))
-            lower = m - rng.integers(0, 2, size=oracle.n)
-            upper = m + rng.integers(0, 2, size=oracle.n)
-            for box in ({}, {"lower": lower, "upper": upper}):
-                fast, boxed = BaseHandle(oracle, **box), BaseHandle(table, **box)
-                for t in range(oracle.n):
-                    queries += 1
-                    assert smallest_tight_set(fast, m, t) == smallest_tight_set(
-                        boxed, m, t
-                    )
-            probe = m + rng.integers(-1, 2, size=oracle.n)
-            for y in (probe, m + np.eye(oracle.n, dtype=np.int64)[0]):
-                assert is_member(BaseHandle(oracle), y) == is_member(scan, y)
-    assert queries >= 100
-    if kind == "megiddo":
-        assert zero_outflow
 
 
 def test_parse_graph_full_format():

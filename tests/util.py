@@ -20,7 +20,15 @@ from decmin.core import (
     sorted_dec,
     sorted_inc,
 )
-from decmin.matroid import MatroidOracle, min_cost_basis
+from decmin.matroid import (
+    MatroidOracle,
+    bases_matroid,
+    dual_matroid,
+    graphic_matroid,
+    min_cost_basis,
+    partition_matroid,
+    uniform_matroid,
+)
 from decmin.orientation import Graph, Orientation
 
 
@@ -125,6 +133,26 @@ def random_supermodular_table(rng, n: int, low=-4, high=4) -> TableOracle:
         if all(low <= v <= high for v in vals):
             return TableOracle(vals)
     raise RuntimeError("generator failed to hit the value range")
+
+
+def random_matroid(rng, n: int, kind: str) -> MatroidOracle:
+    """A matroid of the given kind on n elements."""
+    if kind in ("graphic", "explicit-bases", "dual"):
+        nodes = int(rng.integers(2, 6))
+        M = graphic_matroid(nodes, [tuple(int(v) for v in rng.integers(0, nodes, 2))
+                                    for _ in range(n)])
+        if kind == "dual":
+            return dual_matroid(M)
+        if kind == "explicit-bases":
+            r = M.rank()
+            return bases_matroid(n, [c for c in itertools.combinations(range(n), r)
+                                     if M.independent(c)])
+        return M
+    if kind == "uniform":
+        return uniform_matroid(n, int(rng.integers(0, n + 1)))
+    cut = int(rng.integers(1, n))
+    return partition_matroid(n, [range(cut), range(cut, n)],
+                             [int(rng.integers(0, cut + 1)), int(rng.integers(0, n - cut + 1))])
 
 
 def random_multigraph(rng, max_nodes=7, max_edges=12, connected=True, min_nodes=2) -> Graph:
