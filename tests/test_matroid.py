@@ -9,7 +9,11 @@ from decmin.core import (
     BaseHandle,
     EmptyBaseError,
     SetFunctionOracle,
+    TableOracle,
+    exchange_feasible,
+    is_member,
     mask_of,
+    smallest_tight_set,
     sorted_dec,
     value_equivalent,
 )
@@ -224,6 +228,42 @@ def _check_bases(mats, bases, m):
         assert M.independent(b) and len(b) == M.rank()
         count[list(b)] += 1
     assert count.tolist() == list(m)
+
+
+@pytest.mark.parametrize("kind", ["graphic", "uniform", "partition", "explicit-bases", "dual"])
+def test_matroid_sum_tight_sets_match_table_scan(kind):
+    # the exchange-graph tight sets and memberships against the 2^n scan of
+    # the rank-sum table, at dec-min members and at members one exchange
+    # away (the cached bases move there along one path and back)
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        n = int(rng.integers(2, 7))
+        k = trial % 3 + 1
+        mats = [util.random_matroid(rng, n, kind) for _ in range(k)]
+        oracle = SumOfMatroidsOracle(mats)
+        box = {}
+        if trial % 2:
+            box = {"lower": rng.integers(0, 2, n), "upper": rng.integers(1, k + 1, n)}
+        ref = BaseHandle(TableOracle([oracle.value(x) for x in range(1 << n)]), **box)
+        try:
+            _, m = decmin_basis_sum(mats, **box)
+        except EmptyBaseError:
+            assert not any(ref.in_box(x) for x in _brute_sums(mats))
+            continue
+        B = BaseHandle(SumOfMatroidsOracle(mats), **box)
+        steps = [(s, t) for s in range(n) for t in range(n)
+                 if s != t and exchange_feasible(ref, m, s, t)]
+        for s, t in [(None, None)] + steps:
+            x = m.copy()
+            if s is not None:
+                x[s] += 1
+                x[t] -= 1
+            for y in (x, m):
+                assert is_member(B, y)
+                for v in range(n):
+                    assert smallest_tight_set(B, y, v) == smallest_tight_set(ref, y, v)
+                for a, b in itertools.permutations(range(n), 2):
+                    assert exchange_feasible(B, y, a, b) == exchange_feasible(ref, y, a, b)
 
 
 def _connected_multigraph(rng, nodes, edges):
