@@ -4,13 +4,13 @@ fair-flow problem on source sets, and dec-min root-vectors of arborescence
 packings.
 
 Each reduction presents its feasible vectors as an M-convex set through a
-flow-backed supermodular oracle, hands the dec-min work to the generic
-engine, and realizes the optimal vector again by one more flow.
+flow-backed supermodular oracle and hands the dec-min work to the generic
+engine.
 
 Semi-matchings and Megiddo flows are orientations, and every flow of
 either (oracle value, start, realization, tight-set reader) is one
 orientation._orientation_flow, whose residual network gives the core
-tight-set reader of the kind (orientation._tight_reader):
+reader of the kind (orientation._ResidualWalk):
 
 - a semi-matching orients the bipartite graph G = (S, T; E) itself: the
   chosen copies of each edge point at S and the rest at T, so d_F(s) is
@@ -19,6 +19,11 @@ tight-set reader of the kind (orientation._tight_reader):
   witness is a node set of G, with t numbered n_left + t;
 - a Megiddo flow orients the reversed arcs of D, one copy per unit of
   capacity, with the sources numbered first (MegiddoOracle).
+
+decmin_semimatching and megiddo_discrete solve one flow: the start's.
+Its objective nodes are pinned (orientation._pinned), engine.tighten
+walks on its residual network, one path per step, and the final flow is
+read off that network.
 
 Root-vectors register an exact membership test (core.register_membership).
 """
@@ -34,6 +39,7 @@ import numpy as np
 from . import netflow
 from .core import (
     BaseHandle,
+    EmptyBaseError,
     POS_INF,
     RootVectorOracle,
     SetFunctionOracle,
@@ -42,9 +48,9 @@ from .core import (
     register_reader,
     text_parser,
 )
-from .engine import basic_decmin
+from .engine import basic_decmin, tighten
 from .netflow import Digraph, FlowResult
-from .orientation import _orientation_flow, _tight_reader
+from .orientation import _orientation_flow, _pinned, _ResidualWalk, _toward_v
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -192,6 +198,12 @@ class SemiMatchingOracle(SetFunctionOracle):
         pairs = None if cost is None else [(0, int(c)) for c in cost]
         return _orientation_flow(n, self.edges, caps, lo, hi, pairs, blocks)
 
+    def walk(self, R, y) -> _ResidualWalk:
+        """The walk of the S-degrees y on R, the residual network of an
+        orientation flow realising them (S's own bounds filter it)."""
+        _, lo, hi = self.bounds
+        return _ResidualWalk(R, y, lo[: self._n], hi[: self._n])
+
     def value(self, mask: int):
         if mask not in self._memo:
             marker = [mask >> s & 1 for s, _ in self.problem.edges]
@@ -215,18 +227,16 @@ def _sm_degrees(P: SemiMatchingProblem, z):
 
 
 def _sm_realise(B: BaseHandle, y):
-    """The residual network of the orientation flow pinning the S-degrees
-    to y, filtered by S's own bounds; its block node is the hub of the
-    T-nodes, with u -> hub while u may gain in-degree and hub -> w while w
-    may lose some.  None unless y is realisable with y(S) = p(S): free
-    T-degrees realise larger sums too."""
+    """The walk on the residual network of the orientation flow pinning
+    the S-degrees to y, filtered by S's own bounds; its block node is the
+    hub of the T-nodes, with u -> hub while u may gain in-degree and
+    hub -> w while w may lose some.  None unless y is realisable with
+    y(S) = p(S): free T-degrees realise larger sums too."""
     oracle = B.oracle
     res = oracle.flow(y, y)
     if not res.feasible or int(y.sum()) != oracle.value(oracle.full_mask):
         return None
-    _, lo, hi = oracle.bounds
-    k = oracle.n
-    return _tight_reader(res.residual, y.tolist(), lo[:k].tolist(), hi[:k].tolist())
+    return oracle.walk(res.residual, y.tolist())
 
 
 register_reader("semimatching", _sm_realise)
@@ -251,19 +261,22 @@ def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
         raise InfeasibleProblemError(
             "no subgraph meets the degree specifications", witness=first.witness
         )
-    handle = BaseHandle(oracle)
-    y = basic_decmin(handle, _sm_degrees(P, first.flow)[0])
+    # walk on the start's own flow, its S-degrees pinned
+    R = _pinned(first.residual, P.n_left + P.n_right, range(P.n_left))
+    walk = oracle.walk(R, _sm_degrees(P, first.flow)[0].tolist())
+    tighten(walk)
+    y = np.array(walk.m, dtype=np.int64)
     if P.cost is None:
-        final = oracle.flow(y, y)
+        z = _toward_v(R, P.m)
     else:
         # cheapest subgraph over the whole dec-min set: keep every chain
         # block sum exact and every node inside its small box
-        from .canonical import canonical_from_decmin, decmin_description
+        from .canonical import canonical_from_tight_sets, decmin_description
 
-        D = canonical_from_decmin(handle, y, check=False)
+        D = canonical_from_tight_sets(y, walk)
         final = oracle.flow(*decmin_description(D), cost=P.cost)
-    assert final.feasible
-    z = final.flow
+        assert final.feasible
+        z = final.flow
     total_cost = None if P.cost is None else int(np.dot(z, P.cost))
     return SemiMatchingResult(z, *_sm_degrees(P, z), total_cost)
 
@@ -377,6 +390,11 @@ class MegiddoOracle(SetFunctionOracle):
             pairs = [(mark[u], mark[v]) for u, v in self.edges]
         return _orientation_flow(D.n, self.edges, D.cap, lo, hi, pairs, blocks)
 
+    def walk(self, R, y) -> _ResidualWalk:
+        """The walk of the source out-flows y on R, the residual network
+        of a flow sending them."""
+        return _ResidualWalk(R, y, [0] * self._n, [POS_INF] * self._n)
+
     def outflow(self, flow) -> np.ndarray:
         """The net out-flow of each source under an arc flow of D."""
         return -netflow.net_in_flow(self.problem.digraph, flow)[self.sources]
@@ -401,7 +419,7 @@ def _meg_realise(B: BaseHandle, y):
     res = B.oracle.flow(y)
     if not res.feasible:
         return None
-    return _tight_reader(res.residual, y.tolist(), [0] * B.n, [POS_INF] * B.n)
+    return B.oracle.walk(res.residual, y.tolist())
 
 
 register_reader("megiddo", _meg_realise)
@@ -419,10 +437,12 @@ def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
     oracle = MegiddoOracle(P, amount)
     first = oracle.flow()
     assert first.feasible
-    y = basic_decmin(BaseHandle(oracle), oracle.outflow(first.flow))
-    final = oracle.flow(y)
-    assert final.feasible
-    return MegiddoResult(final.flow, y, oracle.sources)
+    # walk on the first flow, the source out-flows pinned
+    R = _pinned(first.residual, P.digraph.n, range(oracle.n))
+    walk = oracle.walk(R, oracle.outflow(first.flow).tolist())
+    tighten(walk)
+    y = np.array(walk.m, dtype=np.int64)
+    return MegiddoResult(_toward_v(R, P.digraph.m), y, oracle.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +486,12 @@ def decmin_root_vector(D: Digraph, k: int) -> np.ndarray:
         lower=np.zeros(D.n),
         upper=np.full(D.n, float(k)),
     )
-    from .engine import initial_member, EmptyBaseError
-
     try:
-        m0 = initial_member(handle)
+        return basic_decmin(handle)
     except EmptyBaseError as exc:
         raise InfeasibleProblemError(
             f"no packing of {k} arc-disjoint spanning arborescences"
         ) from exc
-    return basic_decmin(handle, m0)
 
 
 # ---------------------------------------------------------------------------

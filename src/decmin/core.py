@@ -527,9 +527,85 @@ def effective_oracle(B: BaseHandle) -> SetFunctionOracle:
     return B._eff
 
 
+class Walk:
+    """A member m of the set that moves in place.
+
+    walk(t) is T_m(t), the unique smallest m-tight set containing t, as a
+    frozenset.  walk.step(s, t, limit), for s in T_m(t), moves m to
+    m + d (chi_s - chi_t) for some 1 <= d <= limit and returns d; a walk
+    that holds a realisation of m (a flow, a set of bases) moves it along,
+    so each step costs one path, not a new realisation.  walk.m is the
+    current vector and changes in place."""
+
+    m: Sequence
+
+    def __call__(self, t: int) -> frozenset:
+        raise NotImplementedError
+
+    def step(self, s: int, t: int, limit: int = 1) -> int:
+        raise NotImplementedError
+
+
+class _Rereading(Walk):
+    """The walk of a reader that holds no realisation: read(B, m) gives
+    tight(t) or None, and each step moves one unit and reads again."""
+
+    def __init__(self, read, B: BaseHandle, m, tight):
+        self.m = m
+        self._read, self._B, self._tight = read, B, tight
+
+    def __call__(self, t: int) -> frozenset:
+        return self._tight(t)
+
+    def step(self, s: int, t: int, limit: int = 1) -> int:
+        self.m[s] += 1
+        self.m[t] -= 1
+        self._tight = self._read(self._B, self.m)
+        return 1
+
+
+def _rereading(read):
+    """The reader of read(B, m), a tight(t) that holds no realisation."""
+
+    def reader(B: BaseHandle, m):
+        tight = read(B, m)
+        return None if tight is None else _Rereading(read, B, m, tight)
+
+    return reader
+
+
+class _InBox(Walk):
+    """A walk of the unboxed set seen inside the box f <= x <= g: T_m(t)
+    is {t} alone when m(t) sits on f(t), otherwise the unboxed set minus
+    the elements at g; a step stops at the bounds."""
+
+    def __init__(self, inner: Walk, f, g):
+        self.m = inner.m
+        self._inner, self._f, self._g = inner, f, g
+
+    def __call__(self, t: int) -> frozenset:
+        m, f, g = self.m, self._f, self._g
+        if f is not None and m[t] - 1 < f[t]:
+            return frozenset({t})
+        return frozenset(s for s in self._inner(t) if s == t or g is None or m[s] + 1 <= g[s])
+
+    def step(self, s: int, t: int, limit: int = 1) -> int:
+        m, f, g = self.m, self._f, self._g
+        if g is not None:
+            limit = min(limit, g[s] - m[s])
+        if f is not None:
+            limit = min(limit, m[t] - f[t])
+        return self._inner.step(s, t, int(limit))
+
+
+def box_walk(B: BaseHandle, walk: Walk) -> Walk:
+    """A walk of the unboxed set B'(p) as a walk of B, box included."""
+    return _InBox(walk, B.lower, B.upper) if B.has_box else walk
+
+
 # one reader per oracle kind: reader(B, m) is None when m is not in the
-# unboxed set B'(p), else tight(t), the unboxed T_m(t) as a frozenset;
-# kinds without one scan the 2^n table
+# unboxed set B'(p), else a Walk of that set starting at m (a copy the
+# walk owns); kinds without one scan the 2^n table
 _READERS: dict = {}
 
 
@@ -537,7 +613,7 @@ def register_reader(kind: str, reader) -> None:
     _READERS[kind] = reader
 
 
-def _table_reader(B: BaseHandle, m):
+def _table_tight(B: BaseHandle, m):
     """The subset scan: m is a member iff every subset sum reaches p and
     the full one equals it; s is in T_m(t) iff m + chi_s - chi_t is too."""
     tab = B.oracle.table()
@@ -551,6 +627,9 @@ def _table_reader(B: BaseHandle, m):
         return frozenset(np.flatnonzero(ok).tolist())
 
     return tight
+
+
+_table_reader = _rereading(_table_tight)
 
 
 def _exchange_tight(member, B: BaseHandle, m, t: int) -> frozenset:
@@ -571,19 +650,20 @@ def register_membership(kind: str, member) -> None:
     set: the table scan up to the subset ceiling, one membership query per
     element of each tight set beyond it."""
 
-    def reader(B: BaseHandle, m):
+    def tight(B: BaseHandle, m):
         if B.n <= subset_ceiling():
-            return _table_reader(B, m)
+            return _table_tight(B, m)
         if not member(B, m):
             return None
         return functools.partial(_exchange_tight, member, B, m)
 
-    register_reader(kind, reader)
+    register_reader(kind, _rereading(tight))
 
 
-def tight_sets(B: BaseHandle, m):
-    """None when m is not in the set (box included), else tight(t): T_m(t),
-    the unique smallest m-tight set containing t, read off one reader.
+def tight_sets(B: BaseHandle, m) -> Optional[Walk]:
+    """None when m is not in the set (box included), else a Walk at m:
+    walk(t) is T_m(t), the unique smallest m-tight set containing t, read
+    off one reader.
 
     With a box this is the boxed variant: {t} alone if m(t) sits on the
     lower bound, otherwise the unboxed set minus the elements saturating
@@ -592,20 +672,11 @@ def tight_sets(B: BaseHandle, m):
     m = as_intvec(m, B.n).copy()
     if not B.in_box(m):
         return None
-    tight = _READERS.get(B.oracle.kind, _table_reader)(B, m)
-    if tight is None or not B.has_box:
-        return tight
-    f, g = B.lower, B.upper
-
-    def boxed(t: int) -> frozenset:
-        if f is not None and m[t] - 1 < f[t]:
-            return frozenset({t})
-        return frozenset(s for s in tight(t) if s == t or g is None or m[s] + 1 <= g[s])
-
-    return boxed
+    walk = _READERS.get(B.oracle.kind, _table_reader)(B, m)
+    return None if walk is None else box_walk(B, walk)
 
 
-def member_tight_sets(B: BaseHandle, m):
+def member_tight_sets(B: BaseHandle, m) -> Walk:
     """tight_sets(B, m) of a member m; ValueError for any other vector."""
     tight = tight_sets(B, m)
     if tight is None:

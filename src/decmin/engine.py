@@ -2,6 +2,12 @@
 the Newton-Dinkelbach routine for the largest essential value, and the
 strongly polynomial peak-set recursion, plus local/global optimality tests
 and the uniformity measures (square-sum, difference-sum, k-largest-sums).
+
+The basic algorithm is one loop, tighten, over a core.Walk: the member
+moves in place, one step per 1-tightening pair, and the walk answers the
+next tight sets.  A flow-backed walk pushes each step along a path of its
+residual network, a matroid-sum walk along an exchange path; the others
+read the new vector again.  The orientation solvers run the same loop.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ from .core import (
     EmptyBaseError,
     NEG_INF,
     SetFunctionOracle,
+    Walk,
     as_intvec,
     contract,
     effective_oracle,
     enumerate_integral_points,
-    is_member,
     member_tight_sets,
     popcounts,
+    tight_sets,
 )
 
 
@@ -56,25 +63,31 @@ def greedy_member(B: BaseHandle, order=None) -> np.ndarray:
     return m
 
 
-def initial_member(B: BaseHandle) -> np.ndarray:
-    """Some integral element of the set.
-
-    Fully supermodular oracles go through the greedy; intersecting/crossing
-    ones fall back, at desk scale, to an exhaustive scan.  An empty
-    crossing base-polyhedron surfaces as EmptyBaseError.
-    """
+def _initial_walk(B: BaseHandle) -> Walk:
+    """A walk at some integral element of the set (see initial_member)."""
     if B.modularity == "full":
-        m = greedy_member(B)
-        if not is_member(B, m):
+        walk = tight_sets(B, greedy_member(B))
+        if walk is None:
             raise EmptyBaseError(
                 "greedy member infeasible (empty box intersection, or the "
                 "oracle is not fully supermodular)"
             )
-        return m
+        return walk
     pts = enumerate_integral_points(B)
     if len(pts) == 0:
         raise EmptyBaseError("base-polyhedron is empty")
-    return pts.points[0].copy()
+    return member_tight_sets(B, pts.points[0])
+
+
+def initial_member(B: BaseHandle) -> np.ndarray:
+    """Some integral element of the set.
+
+    Fully supermodular oracles go through the greedy, whose reader is the
+    membership test; intersecting/crossing ones fall back, at desk scale,
+    to an exhaustive scan.  An empty crossing base-polyhedron surfaces as
+    EmptyBaseError.
+    """
+    return np.array(_initial_walk(B).m, dtype=np.int64)
 
 
 def tightening_pair(m, tight: Callable[[int], frozenset]) -> Optional[tuple]:
@@ -92,6 +105,24 @@ def tightening_pair(m, tight: Callable[[int], frozenset]) -> Optional[tuple]:
     return None
 
 
+def tighten(walk: Walk, beta: Optional[int] = None) -> None:
+    """The basic algorithm on a walk: take 1-tightening steps, in place,
+    until none applies.  Each step moves up to (m(t) - m(s)) // 2 units,
+    as many as the walk allows (one, except on a flow-backed walk), so
+    the square-sum strictly drops.  With beta only the steps off a
+    beta-valued t are taken: the pre-dec-min tightening."""
+    m = walk.m
+    tight = walk if beta is None else (
+        lambda t: walk(t) if m[t] == beta else frozenset({t})
+    )
+    while True:
+        pair = tightening_pair(m, tight)
+        if pair is None:
+            return
+        s, t = pair
+        walk.step(s, t, int(m[t] - m[s]) // 2)
+
+
 def one_tightening(B: BaseHandle, m) -> Optional[tuple]:
     """One 1-tightening step: (s, t, m') with m(t) >= m(s) + 2 and m' in the
     set, or None iff m is dec-min; ValueError when m is not in the set."""
@@ -107,15 +138,14 @@ def one_tightening(B: BaseHandle, m) -> Optional[tuple]:
 
 
 def basic_decmin(B: BaseHandle, m0=None) -> np.ndarray:
-    """The basic algorithm: 1-tightening steps until none applies.
+    """The basic algorithm: 1-tightening steps until none applies, on one
+    walk from m0 (default: initial_member's), so a flow-backed set solves
+    one flow and pushes each step along a path of its residual network.
 
     Polynomial in n + |p(S)| (the square-sum strictly drops each step)."""
-    m = initial_member(B) if m0 is None else as_intvec(m0, B.n).copy()
-    while True:
-        step = one_tightening(B, m)
-        if step is None:
-            return m
-        m = step[2]
+    walk = _initial_walk(B) if m0 is None else member_tight_sets(B, m0)
+    tighten(walk)
+    return np.array(walk.m, dtype=np.int64)
 
 
 def is_decmin(B: BaseHandle, m) -> tuple:
@@ -277,21 +307,22 @@ def beta_covered_member(B: BaseHandle, beta: int) -> np.ndarray:
     return m
 
 
+def _pre_decmin_walk(B: BaseHandle, m, beta: int) -> Walk:
+    walk = member_tight_sets(B, m)
+    tighten(walk, beta)
+    return walk
+
+
+def _peak(walk: Walk, beta: int) -> frozenset:
+    m = walk.m
+    return frozenset().union(*(walk(t) for t in range(len(m)) if m[t] == beta))
+
+
 def pre_decmin_tighten(B: BaseHandle, m, beta: int) -> np.ndarray:
-    """Turn a beta-covered member into a pre-dec-min one: repeatedly move a
-    unit off a beta-valued component onto one at most beta - 2, while some
-    exchange allows it: the 1-tightening pairs whose t sits at beta."""
-    m = as_intvec(m, B.n).copy()
-    while True:
-        tight = member_tight_sets(B, m)
-        pair = tightening_pair(
-            m, lambda t: tight(t) if m[t] == beta else frozenset({t})
-        )
-        if pair is None:
-            return m
-        s, t = pair
-        m[s] += 1
-        m[t] -= 1
+    """Turn a beta-covered member into a pre-dec-min one: repeatedly move
+    units off a beta-valued component onto one at most beta - 2, while
+    some exchange allows it: the 1-tightening steps whose t sits at beta."""
+    return np.array(_pre_decmin_walk(B, m, beta).m, dtype=np.int64)
 
 
 def peak_set(B: BaseHandle, beta1: int, m=None) -> frozenset:
@@ -299,11 +330,10 @@ def peak_set(B: BaseHandle, beta1: int, m=None) -> frozenset:
     computed from a pre-dec-min member as the union of the smallest tight
     sets of its beta_1-valued components."""
     if m is None:
-        m = pre_decmin_tighten(B, beta_covered_member(B, beta1), beta1)
+        walk = _pre_decmin_walk(B, beta_covered_member(B, beta1), beta1)
     else:
-        m = as_intvec(m, B.n)
-    tight = member_tight_sets(B, m)
-    return frozenset().union(*(tight(t) for t in range(B.n) if m[t] == beta1))
+        walk = member_tight_sets(B, m)
+    return _peak(walk, beta1)
 
 
 def strongly_poly_decmin(B: BaseHandle) -> np.ndarray:
@@ -333,9 +363,10 @@ def strongly_poly_decmin(B: BaseHandle) -> np.ndarray:
         if prev_beta is not None and beta >= prev_beta:
             raise RuntimeError("essential values failed to decrease")
         prev_beta = beta
-        m = beta_covered_member(handle, beta)
-        m = pre_decmin_tighten(handle, m, beta)
-        s1 = peak_set(handle, beta, m)
+        # the peak set is read off the walk the tightening ended on
+        walk = _pre_decmin_walk(handle, beta_covered_member(handle, beta), beta)
+        m = walk.m
+        s1 = _peak(walk, beta)
         for local in s1:
             result[remaining[local]] = m[local]
         if len(s1) == len(remaining):

@@ -18,6 +18,8 @@ from .core import (
     NEG_INF,
     POS_INF,
     SetFunctionOracle,
+    Walk,
+    box_walk,
     effective_oracle,
     mask_of,
     register_membership,
@@ -25,7 +27,7 @@ from .core import (
     text_parser,
 )
 from .canonical import CanonicalDecomposition
-from .engine import basic_decmin
+from .engine import basic_decmin, tighten
 
 
 class MatroidOracle:
@@ -421,15 +423,15 @@ def _exchange_masks(M: MatroidOracle, basis: frozenset) -> list:
     return out
 
 
-class _SumState:
-    """Bases B_1..B_k of the matroids summing to m, with the exchange
-    graph of their union: arc x -> y when y is in B_i, x is not, and
-    B_i - y + x is a basis of M_i.
+class _SumState(Walk):
+    """The walk of bases B_1..B_k of the matroids summing to m, with the
+    exchange graph of their union: arc x -> y when y is in B_i, x is not,
+    and B_i - y + x is a basis of M_i.
 
     m + chi_s - chi_t is a sum of bases iff s reaches t, and a shortest
     s -> t path is a valid exchange sequence (Edmonds' matroid partition;
     Knuth 1973; Schrijver, Combinatorial Optimization, ch. 42).  So T_m(t)
-    is the set of elements that reach t."""
+    is the set of elements that reach t, and a step is one exchange."""
 
     def __init__(self, matroids: Sequence, bases: Sequence):
         self.matroids = list(matroids)
@@ -450,12 +452,13 @@ class _SumState:
             for y in _bits(out):
                 self.pred[y] |= 1 << x
 
-    def exchange(self, s: int, t: int) -> bool:
-        """Move to m + chi_s - chi_t along a shortest s -> t path; False,
-        with nothing changed, when s does not reach t."""
+    def __call__(self, t: int) -> frozenset:
+        return frozenset(_search(self.pred, t))
+
+    def step(self, s: int, t: int, limit: int = 1) -> int:
+        """Move to m + chi_s - chi_t along a shortest s -> t path (s
+        reaches t)."""
         prev = _search(self.succ, s, t)
-        if t not in prev:
-            return False
         changed = set()
         y = t
         while prev[y] is not None:
@@ -469,37 +472,13 @@ class _SumState:
         self.m[s] += 1
         self.m[t] -= 1
         self._adjacency()
-        return True
+        return 1
 
 
-def _sum_state(B: BaseHandle, m) -> Optional[_SumState]:
-    """The handle's cached state moved to m: along one shortest exchange
-    path when m is one exchange away from the cached vector, else by one
-    intersection.  None when m is not a sum of bases; the cache stays."""
-    state = getattr(B, "_sum_state", None)
-    if state is not None:
-        diff = m - state.m
-        moved = np.flatnonzero(diff)
-        if moved.size == 0:
-            return state
-        if moved.size == 2 and diff[moved].tolist() in ([1, -1], [-1, 1]):
-            s, t = (int(v) for v in (moved if diff[moved[0]] == 1 else moved[::-1]))
-            return state if state.exchange(s, t) else None
+def _sum_reader(B: BaseHandle, m) -> Optional[_SumState]:
+    """The walk of bases summing to m, found by one intersection."""
     bases = _sum_membership_via_intersection(B.oracle, m)
-    if bases is None:
-        return None
-    B._sum_state = _SumState(B.oracle.matroids, bases)
-    return B._sum_state
-
-
-def _sum_reader(B: BaseHandle, m):
-    """T_m(t) is the set of elements that reach t in the exchange graph of
-    bases summing to m."""
-    state = _sum_state(B, m)
-    if state is None:
-        return None
-    pred = state.pred
-    return lambda t: frozenset(_search(pred, t))
+    return None if bases is None else _SumState(B.oracle.matroids, bases)
 
 
 register_reader("matroid-sum", _sum_reader)
@@ -530,7 +509,7 @@ def _into_box(B: BaseHandle, state: _SumState) -> None:
                     "the upper bounds sum below p on a tight set",
                     witness=frozenset(reach),
                 )
-            state.exchange(u, v)
+            state.step(u, v)
     for v in range(n):
         while state.m[v] < lo[v]:
             reach = _search(state.succ, v)
@@ -540,7 +519,7 @@ def _into_box(B: BaseHandle, state: _SumState) -> None:
                     "the lower bounds sum above the rank sum of a set",
                     witness=frozenset(reach),
                 )
-            state.exchange(v, u)
+            state.step(v, u)
 
 
 def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
@@ -558,10 +537,9 @@ def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
     oracle = SumOfMatroidsOracle(matroids)
     handle = BaseHandle(oracle, lower=lower, upper=upper)
     state = _SumState(oracle.matroids, [M.greedy_basis() for M in oracle.matroids])
-    handle._sum_state = state
     _into_box(handle, state)
-    m = basic_decmin(handle, state.m.copy())
-    return list(_sum_state(handle, m).bases), m
+    tighten(box_walk(handle, state))
+    return list(state.bases), state.m.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ class FlowResult:
     flow: Optional[np.ndarray]
     witness: Optional[frozenset] = None
     cost: Optional[int] = None
-    residual: Optional[_Residual] = None  # feasible_m_flow's, nodes of P first
+    residual: Optional[_Residual] = None  # at the flow found, nodes of P first
 
     @property
     def feasible(self) -> bool:
@@ -375,4 +375,4 @@ def min_cost_flow(P: FlowProblem) -> FlowResult:
         return FlowResult(flow=None, witness=witness)
     z = P.lower + np.array([R.flow_on(i) for i in range(D.m)], dtype=np.int64)
     total_cost = int(np.dot(z, P.cost))
-    return FlowResult(flow=z, cost=total_cost)
+    return FlowResult(flow=z, cost=total_cost, residual=R)

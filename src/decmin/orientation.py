@@ -7,21 +7,22 @@ The in-degree vectors of orientations of G are the integral points of the
 base-polyhedron of the induced-edge-count function.  Every solver here
 rests on two primitives: one flow on the nodes of G itself
 (_orientation_flow: exact in-degrees, in-degree bounds, block sums and
-costs, with a minimum cut as the infeasibility witness), and one residual
-network of the current orientation (_residual), whose arcs hold the copies
-of each edge headed at either end.  The smallest tight set T_m(t) is the
-set of nodes t reaches in it; reversing delta copies along an s->t dipath
-is the exchange m + delta (chi_s - chi_t), pushed in place along a t->s
-path, with the pair from engine.tightening_pair.  Capacitated graphs run
-the same loop on copy counts.  Every oracle kind one orientation flow
-realises (graph-induced sets here, semi-matchings and Megiddo flows in
-applications) registers its core tight-set reader as _tight_reader on
-that flow's residual network.
+costs, with a minimum cut as the infeasibility witness), and one walk on
+the residual network of the current orientation (_ResidualWalk), whose
+arcs hold the copies of each edge headed at either end.  The smallest
+tight set T_m(t) is the set of nodes t reaches in it; a step reverses
+delta copies along an s->t dipath, the exchange m + delta (chi_s - chi_t),
+pushed in place along a t->s path.  The dec-min solvers run
+engine.tighten on that walk, the same loop the engine runs on every
+kind's walk; capacitated graphs run it on copy counts.  Every oracle
+kind one orientation flow realises (graph-induced sets here,
+semi-matchings and Megiddo flows in applications) registers as its core
+reader the walk on that flow's residual network, so a solve over such a
+set runs one flow and then one path per step.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,7 @@ from .core import (
     GraphInducedOracle,
     NEG_INF,
     POS_INF,
+    Walk,
     as_intvec,
     register_reader,
     text_parser,
@@ -43,7 +45,7 @@ from .canonical import (
     canonical_from_tight_sets,
     decmin_description,
 )
-from .engine import tightening_pair
+from .engine import tightening_pair, tighten
 from .netflow import Digraph, FlowProblem, FlowResult, arc_disjoint_paths_at_least
 
 
@@ -297,15 +299,16 @@ def orient_with_indegrees(G: Graph, m) -> Orientation:
 
 def _residual(n, edges, ell, toward_v):
     """(R, in-degrees) of the orientation heading toward_v[j] of the ell(j)
-    copies of edge j = (u, v) at v: arc 2j of R (v -> u) holds those copies
-    and arc 2j+1 (u -> v) the others.  Pushing d along a t -> s path of R
-    reverses d copies of an s -> t dipath: m + d (chi_s - chi_t)."""
-    R = netflow._Residual(n, [(v, u) for u, v in edges], toward_v)
+    copies of edge j = (u, v) at v, laid out as the residual network of an
+    orientation flow: arc 2j (u -> v) holds the copies headed at u and
+    arc 2j+1 (v -> u) the others, so the flow on arc j is toward_v[j]."""
+    R = netflow._Residual(n, edges, ell)
     deg = [0] * n
-    for j, ((u, v), k) in enumerate(zip(edges, ell)):
-        R.res[2 * j + 1] = int(k) - R.res[2 * j]
-        deg[v] += R.res[2 * j]
-        deg[u] += R.res[2 * j + 1]
+    for j, ((u, v), z) in enumerate(zip(edges, toward_v)):
+        R.res[2 * j + 1] = int(z)
+        R.res[2 * j] -= int(z)
+        deg[v] += R.res[2 * j + 1]
+        deg[u] += R.res[2 * j]
     return R, deg
 
 
@@ -314,58 +317,79 @@ def _residual_of(orient: Orientation):
     return _residual(G.n, G.edges, [1] * G.m, orient.heads == [v for _, v in G.edges])
 
 
-def _tight_reader(R, deg, lo, hi, k=0):
-    """The cached tight(t): the nodes s among the first len(deg) of R
-    that t reaches in R (s has an s -> t dipath), sit below hi(s) and, for
-    connectivity k > 0, have k+1 arc-disjoint s -> t dipaths, i.e. a
-    t -> s flow of k+1 in R (so reversing one keeps every cut in-degree at
-    k or more); {t} alone when t sits at lo(t)."""
-    arcs = [(R.head[a ^ 1], R.head[a]) for a in range(len(R.res))] if k else None
+def _toward_v(R, mm) -> np.ndarray:
+    """The copies of each of the first mm edges headed at v: the flow on
+    arc j of R, the residual network of _residual or of an orientation
+    flow that starts every edge at u (no cost pair has c_v < c_u)."""
+    return np.array(R.res[1 : 2 * mm : 2], dtype=np.int64)
 
-    @functools.cache
-    def tight(t: int) -> frozenset:
-        if deg[t] <= lo[t]:
+
+def _pinned(R, n, nodes):
+    """R with the in-degrees of the given nodes fixed: their arcs to the
+    nodes past the first n (the flow's block nodes, source and sink) are
+    closed both ways."""
+    for v in nodes:
+        for a in R.adj[v]:
+            if R.head[a] >= n:
+                R.res[a] = R.res[a ^ 1] = 0
+    return R
+
+
+class _ResidualWalk(Walk):
+    """The walk of an orientation held by R, the residual network of an
+    orientation flow: m = deg, the in-degrees of its first len(deg)
+    nodes, kept within [lo, hi].  Pushing d along a t -> s path of R
+    reverses d copies of an s -> t dipath: m + d (chi_s - chi_t).
+
+    walk(t), cached until the next step, holds the nodes s that t reaches
+    in R (s has an s -> t dipath), sit below hi(s) and, for connectivity
+    k > 0, have k+1 arc-disjoint s -> t dipaths, i.e. a t -> s flow of
+    k+1 in R (so reversing one keeps every cut in-degree at k or more);
+    {t} alone when t sits at lo(t).  A step pushes along a shortest
+    t -> s path as many units as the limit, the path's least arc,
+    hi(s) - deg(s) and deg(t) - lo(t) allow."""
+
+    def __init__(self, R, deg, lo, hi, k=0):
+        self.m = deg
+        self.R, self.k = R, k
+        self.lo, self.hi = np.asarray(lo).tolist(), np.asarray(hi).tolist()
+        self._arcs = [(R.head[a ^ 1], R.head[a]) for a in range(len(R.res))] if k else None
+        self._cache: dict = {}
+
+    def __call__(self, t: int) -> frozenset:
+        got = self._cache.get(t)
+        if got is None:
+            got = self._cache[t] = self._read(t)
+        return got
+
+    def _read(self, t: int) -> frozenset:
+        R, deg, hi, k = self.R, self.m, self.hi, self.k
+        if deg[t] <= self.lo[t]:
             return frozenset({t})
         seen = R.reach(t)
         members = [s for s in range(len(deg)) if seen[s] and deg[s] < hi[s] and s != t]
         if k:
             members = [
                 s for s in members
-                if netflow._max_flow(R.n, arcs, R.res, t, s, k + 1)[0] > k
+                if netflow._max_flow(R.n, self._arcs, R.res, t, s, k + 1)[0] > k
             ]
         return frozenset(members + [t])
 
-    return tight
-
-
-def _reverse(R, deg, s: int, t: int, limit: int) -> None:
-    """Reverse up to limit copies along an s -> t dipath (a t -> s path of
-    R), as many as its least arc allows."""
-    path = R.path(t, s)
-    d = min([limit] + [R.res[a] for a in path])
-    R.push(path, d)
-    deg[s] += d
-    deg[t] -= d
-
-
-def _improve_to_decmin(R, deg, lo, hi, k=0) -> None:
-    """Reverse the dipath of a 1-tightening pair (s, t) until none exists,
-    delta = min(bottleneck, (deg t - deg s) // 2, hi(s) - deg s,
-    deg t - lo(t)) copies at a time (1 on a simple graph)."""
-    lo, hi = np.asarray(lo).tolist(), np.asarray(hi).tolist()
-    while True:
-        pair = tightening_pair(deg, _tight_reader(R, deg, lo, hi, k))
-        if pair is None:
-            return
-        s, t = pair
-        delta = min((deg[t] - deg[s]) // 2, hi[s] - deg[s], deg[t] - lo[t])
-        _reverse(R, deg, s, t, delta)
+    def step(self, s: int, t: int, limit: int = 1) -> int:
+        R, deg = self.R, self.m
+        path = R.path(t, s)
+        d = int(min([limit, self.hi[s] - deg[s], deg[t] - self.lo[t]] + [R.res[a] for a in path]))
+        R.push(path, d)
+        deg[s] += d
+        deg[t] -= d
+        self._cache.clear()
+        return d
 
 
 def _improved(orient: Orientation, lo, hi, k=0) -> Orientation:
     R, deg = _residual_of(orient)
-    _improve_to_decmin(R, deg, lo, hi, k)
-    return _oriented(orient.graph, R.res[0::2])
+    tighten(_ResidualWalk(R, deg, lo, hi, k))
+    return _oriented(orient.graph, _toward_v(R, orient.graph.m))
 
 
 def _resolve_bounds(G: Graph, lower, upper):
@@ -422,7 +446,7 @@ def orientation_canonical(
     (in-degree-zero sets are exactly the tight ones)."""
     lo, hi = _resolve_bounds(G, lower, upper)
     R, deg = _residual_of(orient)
-    tight = _tight_reader(R, deg, lo, hi)
+    tight = _ResidualWalk(R, deg, lo, hi)
     deg = np.array(deg, dtype=np.int64)
     if np.any(deg < lo) or np.any(deg > hi):
         raise NotDecMinOrientationError("orientation violates the bounds")
@@ -484,15 +508,15 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     t_set = frozenset(int(v) for v in t_set)
     lo, hi = _resolve_bounds(G, lower, upper)
     R, deg = _residual_of(_initial_bounded(G, lo, hi))
+    walk = _ResidualWalk(R, deg, lo, hi)
     while True:
-        tight = _tight_reader(R, deg, lo.tolist(), hi.tolist())
         pair = next(
-            ((min(tight(t) - t_set), t) for t in sorted(t_set) if tight(t) - t_set),
+            ((min(walk(t) - t_set), t) for t in sorted(t_set) if walk(t) - t_set),
             None,
         )
         if pair is None:
             break
-        _reverse(R, deg, *pair, 1)
+        walk.step(*pair)
     xt = np.zeros(G.n, dtype=bool)
     for t in sorted(t_set):
         if deg[t] > lo[t]:
@@ -508,10 +532,10 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     ]
     for a, _ in frozen:
         R.res[a] = 0
-    _improve_to_decmin(R, deg, f2, g2)
+    tighten(_ResidualWalk(R, deg, f2, g2))
     for a, c in frozen:
         R.res[a] = c
-    return _oriented(G, R.res[0::2])
+    return _oriented(G, _toward_v(R, G.m))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +637,8 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
         raise ValueError("graph carries no edge capacities")
     ell = G.ell.tolist()
     R, deg = _residual(G.n, G.edges, ell, ell)
-    _improve_to_decmin(R, deg, [0] * G.n, [sum(ell)] * G.n)
-    return CapacitatedOrientation(G, R.res[0::2])
+    tighten(_ResidualWalk(R, deg, [0] * G.n, [sum(ell)] * G.n))
+    return CapacitatedOrientation(G, _toward_v(R, G.m))
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +647,13 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
 
 
 def _graph_realise(B: BaseHandle, m):
-    """The reachability reader of the orientation realising the in-degree
-    vector m, or None when there is none."""
+    """The walk of the orientation realising the in-degree vector m, or
+    None when there is none."""
     p = B.oracle
     res = _orientation_flow(p.n, p.edges, p.weights, m, m)
     if not res.feasible:
         return None
-    return _tight_reader(res.residual, m.tolist(), [0] * p.n, [POS_INF] * p.n)
+    return _ResidualWalk(res.residual, m.tolist(), [0] * p.n, [POS_INF] * p.n)
 
 
 register_reader("graph-induced", _graph_realise)

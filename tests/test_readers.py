@@ -1,23 +1,30 @@
 """The tight-set reader of every oracle kind in core's registry against the
 2^n subset scan of a TableOracle holding the same values, plus the
 reader contract: non-members raise, and handles hold no reference cycle.
+Then the walks: each in-place step lands where a fresh reader would, the
+basic algorithm on one walk agrees with a fresh reader per step, the
+flows read off walked residual networks are feasible, and a flow-backed
+solve runs a fixed number of flows however many steps it takes.
 
     PYTHONPATH=src python -m pytest -q tests/test_readers.py
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from decmin import core
+from decmin import core, netflow, orientation
 from decmin.applications import (
     MegiddoOracle,
     MegiddoProblem,
     SemiMatchingOracle,
     SemiMatchingProblem,
+    decmin_semimatching,
     max_sendable,
+    megiddo_discrete,
 )
 from decmin.core import (
     BaseHandle,
@@ -26,11 +33,13 @@ from decmin.core import (
     exchange_feasible,
     is_member,
     smallest_tight_set,
+    sorted_dec,
+    tight_sets,
 )
-from decmin.engine import basic_decmin, one_tightening
+from decmin.engine import basic_decmin, initial_member, one_tightening, tightening_pair
 from decmin.matroid import AggregateMatroidOracle, SumOfMatroidsOracle, graphic_matroid
-from decmin.netflow import Digraph
-from decmin.orientation import Graph
+from decmin.netflow import Digraph, net_in_flow
+from decmin.orientation import Graph, capacitated_decmin_orientation
 
 import util
 
@@ -205,3 +214,225 @@ def test_handles_are_freed_by_reference_counting():
             assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# walks
+# ---------------------------------------------------------------------------
+
+
+def _modularity(kind):
+    return "intersecting" if kind == "root-vector" else "full"
+
+
+def _start(scan):
+    """A member far from dec-min: initial_member's, then up to 2n unit
+    exchanges, each raising a component at least as large as the one it
+    lowers (the widest such gap first), read off the table scan."""
+    m, n = initial_member(scan), scan.n
+    for _ in range(2 * n):
+        moves = [(s, t) for s in range(n) for t in range(n)
+                 if s != t and m[s] >= m[t] and exchange_feasible(scan, m, s, t)]
+        if not moves:
+            break
+        s, t = max(moves, key=lambda st: (m[st[0]] - m[st[1]], st))
+        m[s] += 1
+        m[t] -= 1
+    return m
+
+
+def _box_around(rng, m):
+    n = len(m)
+    return {"lower": m - rng.integers(0, 3, size=n), "upper": m + rng.integers(0, 3, size=n)}
+
+
+@pytest.mark.parametrize("kind", sorted(core._READERS))
+def test_walk_steps_match_a_fresh_reader(kind):
+    # step the walk in place from a member far from dec-min until none is
+    # left; after every step its tight sets are those of a fresh reader
+    # and of the table scan at the new vector, boxed and unboxed
+    rng, pick = np.random.default_rng(53), np.random.default_rng(61)
+    modularity = _modularity(kind)
+    steps = 0
+    for oracle in INSTANCES[kind](rng):
+        n = oracle.n
+        table = TableOracle([oracle.value(x) for x in range(1 << n)])
+        start = _start(BaseHandle(table, modularity))
+        for box in ({}, _box_around(pick, start)):
+            B = BaseHandle(oracle, modularity, **box)
+            ref = BaseHandle(table, modularity, **box)
+            walk = tight_sets(B, start)
+            while (pair := tightening_pair(walk.m, walk)) is not None:
+                s, t = pair
+                before = np.array(walk.m)
+                limit = int(before[t] - before[s]) // 2
+                d = walk.step(s, t, limit)
+                assert 1 <= d <= limit
+                moved = before.copy()
+                moved[s] += d
+                moved[t] -= d
+                assert np.array(walk.m).tolist() == moved.tolist()
+                fresh, scan = tight_sets(B, moved), tight_sets(ref, moved)
+                assert all(walk(v) == fresh(v) == scan(v) for v in range(n))
+                steps += 1
+    assert steps >= 5
+
+
+@pytest.mark.parametrize("oracle, start, s, t", [
+    # six copies of one edge, all headed at node 1
+    (Graph(2, [(0, 1)], ell=[6]).induced_oracle(), [0, 6], 0, 1),
+    # six copies of each of two edges into one T-node of degree 6
+    (SemiMatchingOracle(SemiMatchingProblem(2, 1, [(0, 0), (1, 0)], t_degrees=[6],
+                                            edge_caps=[6, 6])), [0, 6], 0, 1),
+    # two sources with an arc of capacity 6 each into the sink
+    (MegiddoOracle(MegiddoProblem(Digraph(3, [(0, 2), (1, 2)], [6, 6]), {0, 1}, {2}), 6),
+     [6, 0], 1, 0),
+])
+def test_flow_walk_steps_push_many_units(oracle, start, s, t):
+    # a flow-backed step pushes up to its limit, 3 units, or to the box
+    # bound 1 above the start at s
+    tight_box = np.full(2, 6)
+    tight_box[s] = 1
+    for upper, d in ((None, 3), (tight_box, 1)):
+        B = BaseHandle(oracle, upper=upper)
+        walk = tight_sets(B, start)
+        assert walk.step(s, t, 3) == d
+        m = np.array(start)
+        m[s] += d
+        m[t] -= d
+        assert list(walk.m) == m.tolist()
+        fresh = tight_sets(B, m)
+        assert walk(0) == fresh(0) and walk(1) == fresh(1)
+
+
+def _fresh_route(B, m):
+    """The basic algorithm with a fresh reader per unit step."""
+    while (step := one_tightening(B, m)) is not None:
+        m = step[2]
+    return m
+
+
+def _check_semimatching(P, res):
+    # the subgraph z meets every degree specification of P on its own terms
+    caps = np.ones(P.m, np.int64) if P.edge_caps is None else P.edge_caps
+    z = res.multiplicity
+    assert ((0 <= z) & (z <= caps)).all()
+    deg_s = np.bincount([s for s, _ in P.edges], weights=z, minlength=P.n_left)
+    deg_t = np.bincount([t for _, t in P.edges], weights=z, minlength=P.n_right)
+    assert res.left_degrees.tolist() == deg_s.tolist()
+    assert res.right_degrees.tolist() == deg_t.tolist()
+    if P.lower_left is not None:
+        assert (deg_s >= P.lower_left).all()
+    if P.upper_left is not None:
+        assert (deg_s <= P.upper_left).all()
+    if P.t_degrees is not None:
+        assert deg_t.tolist() == P.t_degrees.tolist()
+    elif P.lower_right is None and P.upper_right is None:
+        assert deg_t.tolist() == [1] * P.n_right
+    else:
+        assert P.lower_right is None or (deg_t >= P.lower_right).all()
+        assert P.upper_right is None or (deg_t <= P.upper_right).all()
+    if P.gamma is not None:
+        assert int(z.sum()) == P.gamma
+
+
+def _check_megiddo(P, amount, res):
+    # arc capacities, conservation off the sources and sinks, sinks only
+    # receive, and the sources send the amount as res.outflow says
+    D = P.digraph
+    assert ((0 <= res.flow) & (res.flow <= D.cap)).all()
+    psi = net_in_flow(D, res.flow)
+    inner = [v for v in range(D.n) if v not in P.sources | P.sinks]
+    assert (psi[inner] == 0).all()
+    assert (psi[sorted(P.sinks)] >= 0).all()
+    assert res.outflow.tolist() == (-psi[sorted(P.sources)]).tolist()
+    assert (res.outflow >= 0).all() and int(res.outflow.sum()) == amount
+
+
+def test_walk_matches_a_fresh_reader_per_step():
+    # basic_decmin walks once; a fresh reader per unit step reaches the
+    # same sorted vector, and so do the solvers that read their final flow
+    # off the walked residual network, whose flows pass their checks
+    solved = flows = 0
+    for seed in (53, 54):
+        pick = np.random.default_rng(seed + 100)
+        for kind in sorted(core._READERS):
+            rng = np.random.default_rng(seed)
+            modularity = _modularity(kind)
+            for oracle in INSTANCES[kind](rng):
+                B = BaseHandle(oracle, modularity)
+                table = TableOracle([oracle.value(x) for x in range(1 << oracle.n)])
+                start = _start(BaseHandle(table, modularity))
+                best = sorted_dec(_fresh_route(B, start))
+                assert sorted_dec(basic_decmin(B)) == sorted_dec(basic_decmin(B, start)) == best
+                boxed = BaseHandle(oracle, modularity, **_box_around(pick, start))
+                got = basic_decmin(boxed, start)
+                assert sorted_dec(got) == sorted_dec(_fresh_route(boxed, start))
+                assert boxed.in_box(got)
+                solved += 2
+                if kind == "semimatching":
+                    res = decmin_semimatching(oracle.problem)
+                    _check_semimatching(oracle.problem, res)
+                    assert sorted_dec(res.left_degrees) == best
+                elif kind == "megiddo":
+                    P = oracle.problem
+                    res = megiddo_discrete(MegiddoProblem(P.digraph, P.sources, P.sinks, oracle.amount))
+                    _check_megiddo(P, oracle.amount, res)
+                    assert sorted_dec(res.outflow) == best
+                elif kind == "graph-induced":
+                    G = Graph(oracle.n, oracle.edges, ell=oracle.weights)
+                    assert sorted_dec(capacitated_decmin_orientation(G).indeg) == best
+                else:
+                    continue
+                flows += 1
+    assert solved >= 300 and flows >= 100
+
+
+def test_flow_backed_solves_run_a_fixed_number_of_flows(monkeypatch):
+    # one flow per solve, however many steps the walk takes: the start's
+    # min-cost flow for a semi-matching, the first flow for a Megiddo
+    # flow, the greedy member's (or the start's) flow for a graph-induced set
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(netflow, "feasible_m_flow", counted("feasible", netflow.feasible_m_flow))
+    monkeypatch.setattr(netflow, "min_cost_flow", counted("min-cost", netflow.min_cost_flow))
+    walk = orientation._ResidualWalk
+    monkeypatch.setattr(walk, "step", counted("step", walk.step))
+
+    def solve(fn, *args):
+        counts.clear()
+        fn(*args)
+        steps = counts.pop("step", 0)
+        return dict(counts), steps
+
+    rng = np.random.default_rng(19)
+    seen = {"semimatching": set(), "megiddo": set(), "induced": set()}
+    for n in range(4, 16, 2):
+        edges = {(int(rng.integers(n)), t) for t in range(2 * n)}
+        while len(edges) < 4 * n:
+            edges.add((int(rng.integers(n)), int(rng.integers(2 * n))))
+        got, steps = solve(decmin_semimatching, SemiMatchingProblem(n, 2 * n, sorted(edges)))
+        assert got == {"min-cost": 1}
+        seen["semimatching"].add(steps)
+
+        arcs = [tuple(int(v) for v in rng.choice(3 * n, size=2, replace=False))
+                for _ in range(9 * n)]
+        D = Digraph(3 * n, arcs, rng.integers(1, 5, size=len(arcs)))
+        got, steps = solve(megiddo_discrete, MegiddoProblem(D, range(n), range(n, n + 3)))
+        assert got == {"feasible": 1}
+        seen["megiddo"].add(steps)
+
+        G = util.random_multigraph(rng, min_nodes=2 * n, max_nodes=2 * n, max_edges=6 * n)
+        B = BaseHandle(G.induced_oracle())
+        got, steps = solve(basic_decmin, B)
+        assert got == {"feasible": 1}
+        seen["induced"].add(steps)
+        heads = np.bincount([v for _, v in G.edges], minlength=G.n)
+        assert solve(basic_decmin, B, heads)[0] == {"feasible": 1}
+    assert all(len(steps) >= 3 for steps in seen.values()), seen
