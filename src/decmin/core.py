@@ -175,18 +175,6 @@ def popcounts(n: int) -> np.ndarray:
     return subset_sums(np.ones(n)).astype(np.int64)
 
 
-_IND_CACHE: dict = {}
-
-
-def _indicator_stack(n: int) -> np.ndarray:
-    """Row v holds the 0/1 array 'mask contains v' over all masks."""
-    if n not in _IND_CACHE:
-        _IND_CACHE[n] = np.stack(
-            [subset_sums(np.eye(n)[v]) for v in range(n)]
-        )
-    return _IND_CACHE[n]
-
-
 # ---------------------------------------------------------------------------
 # set-function oracles
 # ---------------------------------------------------------------------------
@@ -238,7 +226,7 @@ class TableOracle(SetFunctionOracle):
     kind = "explicit-table"
 
     def __init__(self, values):
-        values = list(values)
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         n = len(values).bit_length() - 1
         if 1 << n != len(values):
             raise ValueError("table length must be a power of two")
@@ -253,6 +241,11 @@ class TableOracle(SetFunctionOracle):
 
     def value(self, mask: int):
         return self._vals[mask]
+
+    def table(self) -> np.ndarray:
+        if self._table is None and self._n <= subset_ceiling():
+            self._table = np.array(self._vals, dtype=np.float64)
+        return super().table()
 
 
 class GraphInducedOracle(SetFunctionOracle):
@@ -615,16 +608,18 @@ def register_reader(kind: str, reader) -> None:
 
 def _table_tight(B: BaseHandle, m):
     """The subset scan: m is a member iff every subset sum reaches p and
-    the full one equals it; s is in T_m(t) iff m + chi_s - chi_t is too."""
+    the full one equals it.  m + chi_s - chi_t is a member iff no m-tight
+    set holds t and misses s, so T_m(t) is the intersection of the tight
+    masks containing t (the full set is one of them)."""
     tab = B.oracle.table()
     sums = subset_sums(m)
     if sums[-1] != tab[-1] or not np.all(sums >= tab):
         return None
-    ind = _indicator_stack(B.n)
+    masks = np.flatnonzero(sums == tab)
 
     def tight(t: int) -> frozenset:
-        ok = np.all(sums[None, :] + ind - ind[t][None, :] >= tab[None, :], axis=1)
-        return frozenset(np.flatnonzero(ok).tolist())
+        x = int(np.bitwise_and.reduce(masks[(masks >> t) & 1 == 1]))
+        return frozenset(v for v in range(B.n) if x >> v & 1)
 
     return tight
 
@@ -712,7 +707,6 @@ def smallest_tight_set(B: BaseHandle, m, t: int) -> frozenset:
 def box_intersection_feasible(B: BaseHandle, lower, upper) -> bool:
     """Feasibility of B'(p) intersected with the box T(f, g):
     p <= g~ and f~ <= p-bar on every subset."""
-    n = B.n
     f = np.asarray(lower, dtype=np.float64)
     g = np.asarray(upper, dtype=np.float64)
     if np.any(f > g):
@@ -723,8 +717,7 @@ def box_intersection_feasible(B: BaseHandle, lower, upper) -> bool:
     with np.errstate(invalid="ignore"):
         if np.any(tab > gs):
             return False
-    full = (1 << n) - 1
-    pbar = np.array([tab[-1] - tab[full & ~x] for x in iter_masks(n)])
+    pbar = tab[-1] - tab[::-1]  # the complement of mask x is mask 2^n - 1 - x
     with np.errstate(invalid="ignore"):
         ok = fs <= pbar
     ok[np.isnan(pbar)] = True
@@ -802,11 +795,7 @@ def enumerate_integral_points(
                         indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     tab = B.oracle.table()
-    maskmat = np.zeros((n, 1 << n), dtype=np.float64)
-    for v in range(n):
-        for mk in iter_masks(n):
-            if mk >> v & 1:
-                maskmat[v, mk] = 1.0
+    maskmat = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(np.float64)
     keep = np.zeros(pts.shape[0], dtype=bool)
     chunk = 4096
     for i in range(0, pts.shape[0], chunk):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from decmin.core import (
     NEG_INF,
     BaseHandle,
+    CeilingExceeded,
     GroundSet,
     Ordering,
     TableOracle,
@@ -169,6 +170,105 @@ class TestTightSets:
                 assert got == expected
                 # T itself is m-tight
                 assert sum(int(m[v]) for v in T) == tab[got]
+
+
+def _greedy_vertex(p, order):
+    """The vertex of B'(p) that the greedy algorithm builds along order."""
+    x = [0] * p.n
+    prefix = 0
+    for v in order:
+        x[v] = p.value(prefix | 1 << v) - p.value(prefix)
+        prefix |= 1 << v
+    return x
+
+
+def _ideal_restriction(p, arcs):
+    """p on the sets X with u in X whenever v in X for each arc (u, v), -inf
+    elsewhere; such sets are closed under union and intersection, so the
+    restriction stays supermodular and keeps every member of B'(p)."""
+    vals = []
+    for mask in iter_masks(p.n):
+        closed = all(mask >> u & 1 for u, v in arcs if mask >> v & 1)
+        vals.append(p.value(mask) if closed else NEG_INF)
+    return TableOracle(vals)
+
+
+def _exchange_sets(B, m):
+    """{s : m + chi_s - chi_t is a member} for every t, each member checked
+    against every subset sum and the box."""
+    n = B.n
+    p = [B.oracle.value(mask) for mask in iter_masks(n)]
+    sums = [0]
+    for v in range(n):
+        sums += [x + int(m[v]) for x in sums]
+
+    def member(s, t):
+        y = [int(c) for c in m]
+        y[s] += 1
+        y[t] -= 1
+        if B.lower is not None and any(a < b for a, b in zip(y, B.lower)):
+            return False
+        if B.upper is not None and any(a > b for a, b in zip(y, B.upper)):
+            return False
+        return sums[-1] == p[-1] and all(
+            sums[mask] + (mask >> s & 1) - (mask >> t & 1) >= p[mask]
+            for mask in iter_masks(n)
+        )
+
+    return [{t} | {s for s in range(n) if s != t and member(s, t)} for t in range(n)]
+
+
+class TestTableKernels:
+    def test_tight_sets_match_exchange_definition(self):
+        rng = np.random.default_rng(18)
+        checked = 0
+        for n in (2, 3, 4, 5, 6, 8):
+            wide = 4 if n <= 4 else 12 * n
+            # even cases restrict p to an ideal family (-inf entries);
+            # case // 2 picks no box, a lower bound, an upper bound, both
+            for case in range(8):
+                p = util.random_supermodular_table(rng, n, -wide, wide)
+                m0 = np.array(_greedy_vertex(p, rng.permutation(n).tolist()))
+                if case % 2 == 0:
+                    arcs = [tuple(rng.choice(n, 2, replace=False).tolist())
+                            for _ in range(int(rng.integers(1, n + 1)))]
+                    p = _ideal_restriction(p, arcs)
+                    assert NEG_INF in [p.value(x) for x in iter_masks(n)]
+                lower = m0 - rng.integers(0, 3, size=n) if case // 2 in (1, 3) else None
+                upper = m0 + rng.integers(0, 3, size=n) if case // 2 >= 2 else None
+                B = BaseHandle(p, lower=lower, upper=upper)
+                radius = 3 if n <= 4 else 2 if n <= 6 else 1
+                window = (m0 - radius, m0 + radius)
+                points = enumerate_integral_points(B, window).points
+                assert any((row == m0).all() for row in points)
+                for m in points:
+                    expected = _exchange_sets(B, m)
+                    for t in range(n):
+                        assert smallest_tight_set(B, m, t) == expected[t]
+                    checked += 1
+        assert checked > 500
+
+    def test_ndarray_and_list_give_one_table(self):
+        big = 2**60
+        values = [0, big, 5, big + 7]
+        a = TableOracle(values)
+        b = TableOracle(np.array(values, dtype=np.int64))
+        assert np.array_equal(a.table(), b.table())
+        for p in (a, b):
+            assert type(p.value(1)) is int and p.value(1) == big
+            assert p.value(3) == big + 7
+        c = TableOracle([0, NEG_INF, 2, 3])
+        d = TableOracle(np.array([0, NEG_INF, 2, 3]))
+        assert np.array_equal(c.table(), d.table())
+        assert d.value(1) == NEG_INF and type(d.value(3)) is int
+
+    def test_table_respects_the_subset_ceiling(self, monkeypatch):
+        p = TableOracle([0, 0, 0, 1])
+        monkeypatch.setenv("DECMIN_BRUTE_CEILING", "1")
+        with pytest.raises(CeilingExceeded):
+            p.table()
+        monkeypatch.setenv("DECMIN_BRUTE_CEILING", "2")
+        assert p.table().tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestWrappers:

@@ -98,7 +98,7 @@ def _matroid_sum(rng):
 def _matroid_aggregate(rng):
     for _ in range(10):
         G = util.random_multigraph(rng, max_nodes=5, max_edges=9)
-        q = int(rng.integers(2, min(6, G.m) + 1))
+        q = int(rng.integers(min(2, G.m), min(6, G.m) + 1))
         order = rng.permutation(G.m).tolist()
         yield AggregateMatroidOracle(graphic_matroid(G.n, G.edges),
                                      [order[i::q] for i in range(q)])
