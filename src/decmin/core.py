@@ -11,8 +11,13 @@ points of B'(p) form the discrete sets all solvers in this package work
 on.  Everything in this module is exact integer arithmetic; minus
 infinity is represented by ``float("-inf")`` and saturates.
 
-This module also hosts the brute-force enumeration used as a
-verification oracle by every other module.
+A derived set function (contraction, restriction, shift, complement and
+the box's p_box) is again a TableOracle, built by numpy from the 2^n table
+of its inner function, so each costs one table and no per-mask calls.
+
+This module also hosts the brute-force point enumeration
+(enumerate_integral_points) that the tests and the CLI's --verify scans
+use as a verification oracle.
 """
 
 from __future__ import annotations
@@ -221,7 +226,8 @@ class SetFunctionOracle:
 
 
 class TableOracle(SetFunctionOracle):
-    """Explicit table of 2^n values."""
+    """Explicit table of 2^n values: ints, -inf, and +inf where a
+    complement has them."""
 
     kind = "explicit-table"
 
@@ -233,10 +239,10 @@ class TableOracle(SetFunctionOracle):
         super().__init__(n)
         if values[0] != 0:
             raise ValueError("value on the empty set must be 0")
-        if values[-1] == NEG_INF:
+        if values[-1] in (NEG_INF, POS_INF):
             raise ValueError("value on the full ground set must be finite")
         self._vals = [
-            NEG_INF if v == NEG_INF else int(v) for v in values
+            v if v in (NEG_INF, POS_INF) else int(v) for v in values
         ]
 
     def value(self, mask: int):
@@ -302,120 +308,74 @@ class RootVectorOracle(SetFunctionOracle):
         return self.k - indeg
 
 
-class ShiftedOracle(SetFunctionOracle):
-    """p(X) + w~(X): translates the base-polyhedron by the integer vector w."""
-
-    kind = "shifted"
-
-    def __init__(self, inner: SetFunctionOracle, shift):
-        super().__init__(inner.n)
-        self.inner = inner
-        self.shift = as_intvec(shift, inner.n)
-
-    def value(self, mask: int):
-        v = self.inner.value(mask)
-        if v == NEG_INF:
-            return NEG_INF
-        return v + int(sum(self.shift[i] for i in range(self._n) if mask >> i & 1))
+# ---------------------------------------------------------------------------
+# derived set functions: each is a table gathered from its inner function's
+# ---------------------------------------------------------------------------
 
 
-class RestrictedOracle(SetFunctionOracle):
-    """p | Z: restriction to the elements of Z (keeps their relative order)."""
-
-    kind = "restricted"
-
-    def __init__(self, inner: SetFunctionOracle, keep: Sequence[int]):
-        keep = sorted(set(int(i) for i in keep))
-        if not keep:
-            raise ValueError("restriction to the empty set")
-        super().__init__(len(keep))
-        self.inner = inner
-        self.keep = keep
-
-    def embed(self, mask: int) -> int:
-        out = 0
-        for j, orig in enumerate(self.keep):
-            if mask >> j & 1:
-                out |= 1 << orig
-        return out
-
-    def value(self, mask: int):
-        return self.inner.value(self.embed(mask))
+def _values(p: SetFunctionOracle) -> np.ndarray:
+    """The 2^n values of p: a table's own exact ints (above 2^53 too), any
+    other oracle's cached float table, whose values are small counts."""
+    if isinstance(p, TableOracle):
+        return np.array(p._vals, dtype=object)
+    return p.table()
 
 
-class ContractedOracle(SetFunctionOracle):
+def _in_ground_set(p: SetFunctionOracle, mask: int) -> list:
+    """The elements of mask, which must all lie in p's ground set."""
+    if not 0 <= mask <= p.full_mask:
+        raise ValueError(f"elements outside the ground set of size {p.n}")
+    return [v for v in range(p.n) if mask >> v & 1]
+
+
+def _embed(keep: Sequence[int]) -> np.ndarray:
+    """For every mask over len(keep) elements, the mask it names in the
+    inner ground set: bit j becomes bit keep[j]."""
+    masks = np.arange(1 << len(keep), dtype=np.int64)
+    out = np.zeros_like(masks)
+    for j, v in enumerate(keep):
+        out |= (masks >> j & 1) << v
+    return out
+
+
+def restrict(p: SetFunctionOracle, keep) -> TableOracle:
+    """p | Z: restriction to the elements of Z (keeps their relative
+    order); p(Z) must be finite."""
+    keep = _in_ground_set(p, mask_of(int(v) for v in keep))
+    if not keep:
+        raise ValueError("restriction to the empty set")
+    return TableOracle(_values(p)[_embed(keep)])
+
+
+def contract(p: SetFunctionOracle, zap) -> TableOracle:
     """p / Z: contraction, (p/Z)(X) = p(X u Z) - p(Z) on the elements
-    outside Z.  Nested contractions fuse into a single one."""
-
-    kind = "contracted"
-
-    def __init__(self, inner: SetFunctionOracle, zmask: int):
-        if isinstance(inner, ContractedOracle):
-            zmask = inner.zmask | inner.embed(zmask)
-            inner = inner.inner
-        pz = inner.value(zmask)
-        if pz == NEG_INF:
-            raise ValueError("cannot contract a set with value -inf")
-        keep = [v for v in range(inner.n) if not zmask >> v & 1]
-        if not keep:
-            raise ValueError("contraction would empty the ground set")
-        super().__init__(len(keep))
-        self.inner = inner
-        self.zmask = zmask
-        self.keep = keep
-        self._pz = pz
-
-    def embed(self, mask: int) -> int:
-        out = 0
-        for j, orig in enumerate(self.keep):
-            if mask >> j & 1:
-                out |= 1 << orig
-        return out
-
-    def value(self, mask: int):
-        v = self.inner.value(self.embed(mask) | self.zmask)
-        if v == NEG_INF:
-            return NEG_INF
-        return v - self._pz
-
-
-class ComplementOracle(SetFunctionOracle):
-    """h-bar(X) = h(S) - h(S - X); complement of a complement is the inner
-    function again."""
-
-    kind = "complemented"
-
-    def __init__(self, inner: SetFunctionOracle):
-        super().__init__(inner.n)
-        self.inner = inner
-        self._total = inner.value(inner.full_mask)
-        if self._total == NEG_INF:
-            raise ValueError("complement needs a finite value on the full set")
-
-    def value(self, mask: int):
-        v = self.inner.value(self.full_mask & ~mask)
-        if v == NEG_INF:
-            return POS_INF
-        return self._total - v
-
-
-def restrict(p: SetFunctionOracle, keep) -> SetFunctionOracle:
-    return RestrictedOracle(p, keep)
-
-
-def contract(p: SetFunctionOracle, zap) -> SetFunctionOracle:
+    outside Z."""
     zmask = zap if isinstance(zap, int) else mask_of(zap)
-    return ContractedOracle(p, zmask)
+    _in_ground_set(p, zmask)
+    rest = [v for v in range(p.n) if not zmask >> v & 1]
+    if not rest:
+        raise ValueError("contraction would empty the ground set")
+    vals = _values(p)
+    if vals[zmask] == NEG_INF:
+        raise ValueError("cannot contract a set with value -inf")
+    return TableOracle(vals[zmask | _embed(rest)] - vals[zmask])
 
 
-def complement(p: SetFunctionOracle) -> SetFunctionOracle:
-    if isinstance(p, ComplementOracle):
-        return p.inner
-    return ComplementOracle(p)
+def complement(p: SetFunctionOracle) -> TableOracle:
+    """p-bar(X) = p(S) - p(S - X); -inf values become +inf, and the
+    complement of a complement is p again."""
+    vals = _values(p)
+    if vals[-1] == NEG_INF:
+        raise ValueError("complement needs a finite value on the full set")
+    return TableOracle(vals[-1] - vals[::-1])  # S - X is mask 2^n - 1 - X
 
 
-def shift(p: SetFunctionOracle, w) -> SetFunctionOracle:
-    return ShiftedOracle(p, w)
+def shift(p: SetFunctionOracle, w) -> TableOracle:
+    """p(X) + w~(X): translates the base-polyhedron by the integer vector w."""
+    sums = np.zeros(1, dtype=object)  # exact subset sums of w
+    for v in as_intvec(w, p.n).tolist():
+        sums = np.concatenate([sums, sums + v])
+    return TableOracle(_values(p) + sums)
 
 
 # ---------------------------------------------------------------------------
@@ -467,56 +427,51 @@ class BaseHandle:
         return True
 
 
-class BoxedOracle(SetFunctionOracle):
-    """The unique fully supermodular function of B'(p) intersected with a
-    box: p_box(Y) = max_X [p(X) + f~(Y - X) - g~(X - Y)].
+def _boxed_table(p: SetFunctionOracle, lower, upper) -> np.ndarray:
+    """p_box(Y) = max_X [p(X) + f~(Y - X) - g~(X - Y)] for every Y, the
+    fully supermodular function of B'(p) intersected with the box; missing
+    bounds are infinite.  Each element's share of the sum depends only on
+    whether it lies in X and in Y, so one max per element turns its X bit
+    into its Y bit: O(n 2^n).  A NaN share (inf - inf) counts as -inf.
 
-    Evaluation is a vectorized scan over all X, so it is desk-scale only.
-    """
-
-    kind = "boxed"
-
-    def __init__(self, inner: SetFunctionOracle, lower, upper):
-        super().__init__(inner.n)
-        self.inner = inner
-        n = inner.n
-        self.lower = (
-            np.full(n, NEG_INF) if lower is None else np.asarray(lower, float)
-        )
-        self.upper = (
-            np.full(n, POS_INF) if upper is None else np.asarray(upper, float)
-        )
-        self._fsums = subset_sums(self.lower)
-        self._gsums = subset_sums(self.upper)
-        self._masks = None
-        self._cache: dict = {}
-
-    def value(self, mask: int):
-        if mask in self._cache:
-            return self._cache[mask]
-        ptab = self.inner.table()
-        if self._masks is None:
-            self._masks = np.arange(1 << self._n, dtype=np.int64)
-        xm = self._masks
-        f_part = self._fsums[mask & ~xm]  # f~(Y - X)
-        g_part = self._gsums[xm & ~mask]  # g~(X - Y)
-        with np.errstate(invalid="ignore"):
-            vals = ptab + f_part - g_part
-        vals[np.isnan(vals)] = NEG_INF
-        best = float(np.max(vals))
-        if best != NEG_INF and best != POS_INF:
-            best = int(round(best))
-        self._cache[mask] = best
-        return best
+    EmptyBaseError, with a violated set W as witness, when the box misses
+    B'(p), that is unless p_box(empty) = 0 and p_box(S) = p(S): either
+    p(W) > g~(W) or f~(W) > p-bar(W)."""
+    tab = p.table()  # the subset ceiling fires before any allocation
+    f = np.full(p.n, NEG_INF) if lower is None else np.asarray(lower, float)
+    g = np.full(p.n, POS_INF) if upper is None else np.asarray(upper, float)
+    unmet = np.flatnonzero((f == POS_INF) | (g == NEG_INF))
+    if unmet.size:  # f~ <= p-bar cannot see a bound no integer meets
+        raise EmptyBaseError("a bound no integer meets", frozenset({int(unmet[0])}))
+    box = tab.copy()
+    with np.errstate(invalid="ignore"):
+        for v in range(p.n):
+            view = box.reshape(-1, 2, 1 << v)
+            out_x, in_x = view[:, 0].copy(), view[:, 1]
+            np.fmax(out_x, in_x - g[v], out=view[:, 0])
+            np.fmax(in_x, out_x + f[v], out=view[:, 1])
+        if box[0] > 0:
+            excess = tab - subset_sums(g)  # p(W) - g~(W)
+        elif box[-1] > tab[-1]:
+            excess = subset_sums(f) + tab[::-1] - tab[-1]  # f~(W) - p-bar(W)
+        else:
+            return box
+    w = int(np.nanargmax(excess))
+    raise EmptyBaseError(
+        "the box misses the base-polyhedron",
+        frozenset(v for v in range(p.n) if w >> v & 1),
+    )
 
 
 def effective_oracle(B: BaseHandle) -> SetFunctionOracle:
-    """The fully supermodular function describing B including its box
-    (cached on the handle so repeated calls share memoized values)."""
+    """The fully supermodular function describing B including its box: the
+    table of p_box (see _boxed_table), cached on the handle.  Raises
+    CeilingExceeded past the subset ceiling and EmptyBaseError, with a
+    violated set as witness, when the box misses B'(p)."""
     if not B.has_box:
         return B.oracle
     if getattr(B, "_eff", None) is None:
-        B._eff = BoxedOracle(B.oracle, B.lower, B.upper)
+        B._eff = TableOracle(_boxed_table(B.oracle, B.lower, B.upper))
     return B._eff
 
 
@@ -705,23 +660,15 @@ def smallest_tight_set(B: BaseHandle, m, t: int) -> frozenset:
 
 
 def box_intersection_feasible(B: BaseHandle, lower, upper) -> bool:
-    """Feasibility of B'(p) intersected with the box T(f, g):
-    p <= g~ and f~ <= p-bar on every subset."""
-    f = np.asarray(lower, dtype=np.float64)
-    g = np.asarray(upper, dtype=np.float64)
-    if np.any(f > g):
+    """Feasibility of B'(p) intersected with the box T(f, g): p <= g~ and
+    f~ <= p-bar on every subset, read off p_box (see _boxed_table)."""
+    if np.any(np.asarray(lower, float) > np.asarray(upper, float)):
         raise ValueError("need f <= g")
-    tab = B.oracle.table()
-    gs = subset_sums(g)
-    fs = subset_sums(f)
-    with np.errstate(invalid="ignore"):
-        if np.any(tab > gs):
-            return False
-    pbar = tab[-1] - tab[::-1]  # the complement of mask x is mask 2^n - 1 - x
-    with np.errstate(invalid="ignore"):
-        ok = fs <= pbar
-    ok[np.isnan(pbar)] = True
-    return bool(np.all(ok))
+    try:
+        _boxed_table(B.oracle, lower, upper)
+    except EmptyBaseError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

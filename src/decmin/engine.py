@@ -344,13 +344,6 @@ def strongly_poly_decmin(B: BaseHandle) -> np.ndarray:
         # the recursion relies on p being the unique fully supermodular
         # description; weaker oracles go through the basic algorithm
         return basic_decmin(B)
-    if B.has_box:
-        from .core import box_intersection_feasible
-
-        lo = np.full(B.n, NEG_INF) if B.lower is None else B.lower
-        hi = np.full(B.n, np.inf) if B.upper is None else B.upper
-        if not box_intersection_feasible(BaseHandle(B.oracle), lo, hi):
-            raise EmptyBaseError("box intersection is empty")
     eff = effective_oracle(B)
     n = eff.n
     result = np.zeros(n, dtype=np.int64)

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from decmin.engine import basic_decmin, initial_member, strongly_poly_decmin
+
 from decmin.core import (
     NEG_INF,
+    POS_INF,
     BaseHandle,
     CeilingExceeded,
+    EmptyBaseError,
+    GraphInducedOracle,
     GroundSet,
     Ordering,
     TableOracle,
@@ -14,6 +19,7 @@ from decmin.core import (
     contract,
     dec_compare,
     dump_table_json,
+    effective_oracle,
     enumerate_integral_points,
     exchange_feasible,
     inc_compare,
@@ -292,12 +298,6 @@ class TestWrappers:
         double = complement(complement(p))
         for mask in iter_masks(4):
             assert double.value(mask) == p.value(mask)
-        # also through an explicit double wrapper
-        from decmin.core import ComplementOracle
-
-        wrapped = ComplementOracle(ComplementOracle(p))
-        for mask in iter_masks(4):
-            assert wrapped.value(mask) == p.value(mask)
 
     def test_restrict_and_shift(self):
         p = util.r62_handle().oracle
@@ -306,6 +306,192 @@ class TestWrappers:
         s = shift(p, [1, 0, 0, 0])
         assert s.value(1) == p.value(1) + 1
         assert s.value(0) == 0
+
+
+    def test_transforms_reject_elements_outside_the_ground_set(self):
+        g = GraphInducedOracle(3, [(0, 1), (1, 2)])
+        t = TableOracle([0, 0, 0, 1])
+        for p in (g, t):
+            for bad in ([p.n], [p.n + 2], [-1]):
+                with pytest.raises(ValueError):
+                    restrict(p, bad)
+                with pytest.raises(ValueError):
+                    contract(p, set(bad))
+            with pytest.raises(ValueError):
+                contract(p, 1 << p.n)
+
+    def test_transforms_match_their_formulas_exactly(self):
+        rng = np.random.default_rng(11)
+        big = 2**60
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            p = _random_table(rng, n, big)
+            full = (1 << n) - 1
+            zmask = int(rng.integers(0, full))
+            rest = [v for v in range(n) if not zmask >> v & 1]
+            if p.value(zmask) == NEG_INF:
+                with pytest.raises(ValueError):
+                    contract(p, zmask)
+            else:
+                c = contract(p, zmask)
+                want = [p.value(_embedded(rest, x) | zmask) - p.value(zmask)
+                        for x in iter_masks(len(rest))]
+                assert _values_of(c) == want
+                # nested: contracting element 0 of p/Z contracts Z + rest[0]
+                if len(rest) > 1 and c.value(1) != NEG_INF:
+                    both = contract(p, zmask | 1 << rest[0])
+                    assert _values_of(contract(c, {0})) == _values_of(both)
+            keep = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                      replace=False))
+            if p.value(mask_of(keep)) != NEG_INF:
+                r = restrict(p, keep)
+                assert _values_of(r) == [p.value(_embedded(keep, x)) for x in iter_masks(len(keep))]
+            w = [int(v) for v in rng.integers(-big, big, size=n)]
+            s = shift(p, w)
+            assert _values_of(s) == [
+                p.value(x) + sum(w[v] for v in range(n) if x >> v & 1)
+                for x in iter_masks(n)
+            ]
+            b = complement(p)
+            assert _values_of(b) == [
+                POS_INF if p.value(full ^ x) == NEG_INF else p.value(full) - p.value(full ^ x)
+                for x in iter_masks(n)
+            ]
+            assert _values_of(complement(b)) == _values_of(p)
+            for q in (b, s):
+                assert all(type(v) is int for v in _values_of(q) if abs(v) != POS_INF)
+
+
+def _embedded(keep, x):
+    """The mask that x, a mask over len(keep) elements, names in the inner
+    ground set."""
+    return mask_of(v for j, v in enumerate(keep) if x >> j & 1)
+
+
+def _random_table(rng, n, high=6):
+    """A table (not necessarily supermodular) with -inf entries."""
+    vals = [0] + [int(v) for v in rng.integers(-high, high + 1, size=(1 << n) - 1)]
+    for mask in range(1, (1 << n) - 1):
+        if rng.random() < 0.25:
+            vals[mask] = NEG_INF
+    return TableOracle(vals)
+
+
+def _random_box(rng, n):
+    """Bounds f <= g with some infinite entries; either may be missing."""
+    lo = rng.integers(-4, 3, size=n).astype(float)
+    hi = lo + rng.integers(0, 5, size=n)
+    lo[rng.random(n) < 0.25] = NEG_INF
+    hi[rng.random(n) < 0.25] = POS_INF
+    return (None if rng.random() < 0.2 else lo), (None if rng.random() < 0.2 else hi)
+
+
+def _values_of(p):
+    return [p.value(x) for x in iter_masks(p.n)]
+
+
+def _boxed_scan(p, lo, hi, y):
+    """max_X [p(X) + f~(Y - X) - g~(X - Y)], scanned; a sum holding both
+    +inf and -inf counts as -inf."""
+    n = p.n
+    f = [NEG_INF] * n if lo is None else list(lo)
+    g = [POS_INF] * n if hi is None else list(hi)
+    best = NEG_INF
+    for x in iter_masks(n):
+        terms = [p.value(x)]
+        terms += [f[v] for v in range(n) if y >> v & 1 and not x >> v & 1]
+        terms += [-g[v] for v in range(n) if x >> v & 1 and not y >> v & 1]
+        if not (POS_INF in terms and NEG_INF in terms):
+            best = max(best, sum(terms))
+    return best
+
+
+def _violated(p, lo, hi, witness):
+    """W breaks p(W) <= g~(W) or f~(W) <= p-bar(W) = p(S) - p(S - W)."""
+    n = p.n
+    w = mask_of(witness)
+    full = (1 << n) - 1
+    g = sum(POS_INF if hi is None else hi[v] for v in witness)
+    f = sum(NEG_INF if lo is None else lo[v] for v in witness)
+    rest = p.value(full ^ w)
+    pbar = POS_INF if rest == NEG_INF else p.value(full) - rest
+    return p.value(w) > g or f > pbar
+
+
+class TestBoxedFunction:
+    def test_effective_oracle_is_the_boxed_maximum(self):
+        rng = np.random.default_rng(21)
+        seen = {"meets": 0, "misses": 0}
+        for _ in range(80):
+            n = int(rng.integers(2, 6))
+            p = _random_table(rng, n)
+            lo, hi = _random_box(rng, n)
+            want = [_boxed_scan(p, lo, hi, y) for y in iter_masks(n)]
+            B = BaseHandle(p, lower=lo, upper=hi)
+            if want[0] == 0 and want[-1] == p.value((1 << n) - 1):
+                seen["meets"] += 1
+                assert _values_of(effective_oracle(B)) == want
+            else:
+                seen["misses"] += 1
+                with pytest.raises(EmptyBaseError) as err:
+                    effective_oracle(B)
+                assert _violated(p, lo, hi, err.value.witness)
+        assert min(seen.values()) >= 10
+
+    def test_box_feasibility_is_the_frank_condition(self):
+        rng = np.random.default_rng(22)
+        for _ in range(80):
+            n = int(rng.integers(2, 6))
+            p = _random_table(rng, n)
+            lo, hi = _random_box(rng, n)
+            lo = np.full(n, NEG_INF) if lo is None else lo
+            hi = np.full(n, POS_INF) if hi is None else hi
+            want = all(
+                not _violated(p, lo, hi, [v for v in range(n) if x >> v & 1])
+                for x in iter_masks(n)
+            )
+            assert box_intersection_feasible(BaseHandle(p), lo, hi) == want
+
+    @pytest.mark.parametrize("solve", [basic_decmin, initial_member, strongly_poly_decmin])
+    def test_empty_boxes_raise_with_a_violated_set(self, solve):
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            n = int(rng.integers(2, 6))
+            p = util.random_supermodular_table(rng, n)
+            m = strongly_poly_decmin(BaseHandle(p))
+            for lo, hi in ((None, m - 1), (m + 1, None), (m + 1, m + 2), (m - 3, m - 1)):
+                with pytest.raises(EmptyBaseError) as err:
+                    solve(BaseHandle(p, lower=lo, upper=hi))
+                assert _violated(p, lo, hi, err.value.witness)
+
+    def test_a_bound_no_integer_meets_is_an_empty_box(self):
+        p = TableOracle([0, NEG_INF, NEG_INF, 0])
+        for lo, hi in (([NEG_INF, POS_INF], None), (None, [NEG_INF, POS_INF])):
+            assert not box_intersection_feasible(
+                BaseHandle(p),
+                [NEG_INF] * 2 if lo is None else lo,
+                [POS_INF] * 2 if hi is None else hi,
+            )
+            for solve in (basic_decmin, strongly_poly_decmin):
+                with pytest.raises(EmptyBaseError) as err:
+                    solve(BaseHandle(p, lower=lo, upper=hi))
+                assert err.value.witness == {1 if lo else 0}
+
+    def test_boxed_handle_past_the_ceiling_allocates_nothing_first(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.delenv("DECMIN_BRUTE_CEILING", raising=False)
+        n = 24
+        g = GraphInducedOracle(n, [(v, (v + 1) % n) for v in range(n)])
+        B = BaseHandle(g, upper=np.full(n, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CeilingExceeded):
+                basic_decmin(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEnumeration:
