@@ -7,10 +7,9 @@ Each reduction presents its feasible vectors as an M-convex set through a
 flow-backed supermodular oracle and hands the dec-min work to the generic
 engine.
 
-Semi-matchings and Megiddo flows are orientations, and every flow of
-either (oracle value, start, realization, tight-set reader) is one
-orientation._orientation_flow, whose residual network gives the core
-reader of the kind (orientation._ResidualWalk):
+Semi-matchings and Megiddo flows are orientations: their oracles are
+orientation.OrientationOracle on the graphs below, which owns every flow
+of either (oracle value, start, realization, tight-set reader):
 
 - a semi-matching orients the bipartite graph G = (S, T; E) itself: the
   chosen copies of each edge point at S and the rest at T, so d_F(s) is
@@ -20,10 +19,11 @@ reader of the kind (orientation._ResidualWalk):
 - a Megiddo flow orients the reversed arcs of D, one copy per unit of
   capacity, with the sources numbered first (MegiddoOracle).
 
-decmin_semimatching and megiddo_discrete solve one flow: the start's.
-Its objective nodes are pinned (orientation._pinned), engine.tighten
-walks on its residual network, one path per step, and the final flow is
-read off that network.
+decmin_semimatching and megiddo_discrete solve one flow, the start's:
+engine.tighten walks on its residual network with the objective nodes
+pinned (orientation.walk_on), one path per step, and the final flow is
+read off that network, or with costs is one cheapest flow over the
+dec-min set (orientation.cheapest_flow).
 
 Root-vectors register an exact membership test (core.register_membership).
 """
@@ -40,17 +40,21 @@ from . import netflow
 from .core import (
     BaseHandle,
     EmptyBaseError,
-    POS_INF,
     RootVectorOracle,
-    SetFunctionOracle,
     as_intvec,
     register_membership,
     register_reader,
     text_parser,
 )
 from .engine import basic_decmin, tighten
-from .netflow import Digraph, FlowResult
-from .orientation import _orientation_flow, _pinned, _ResidualWalk, _toward_v
+from .netflow import Digraph
+from .orientation import (
+    OrientationOracle,
+    _flow_realise,
+    _toward_v,
+    cheapest_flow,
+    walk_on,
+)
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -160,60 +164,21 @@ def _sm_bounds(P: SemiMatchingProblem):
     return caps, lo, hi
 
 
-class SemiMatchingOracle(SetFunctionOracle):
-    """p(X) = minimum total S-degree on X over feasible subgraphs; each
-    evaluation is one min-cost orientation flow pricing the copies chosen
-    at X."""
+class SemiMatchingOracle(OrientationOracle):
+    """p(X) = minimum total S-degree on X over feasible subgraphs: the
+    S-degrees are the in-degrees of the first n_left nodes of an
+    orientation of G (_sm_bounds), where edge j = (s, t) is the edge
+    (n_left + t, s) and a chosen copy is headed at s.  gamma, when set,
+    is the one block sum; the T-nodes take the remaining copies."""
 
     kind = "semimatching"
 
     def __init__(self, problem: SemiMatchingProblem):
-        super().__init__(problem.n_left)
+        k = problem.n_left
+        edges = [(k + t, s) for s, t in problem.edges]
+        gamma = None if problem.gamma is None else [(range(k), int(problem.gamma))]
+        super().__init__(k + problem.n_right, edges, *_sm_bounds(problem), k, blocks=gamma)
         self.problem = problem
-        self.bounds = _sm_bounds(problem)
-        # edge j = (s, t) as the orientation edge (n_left + t, s)
-        self.edges = [(problem.n_left + t, s) for s, t in problem.edges]
-        self._memo: dict = {}
-
-    def flow(self, lo_s=None, hi_s=None, blocks=None, cost=None) -> FlowResult:
-        """One orientation flow of G: S-degrees narrowed to [lo_s, hi_s]
-        (pinned when lo_s = hi_s); blocks, (S-nodes, S-degree sum) pairs
-        covering S, default to one block of sum gamma when gamma is set,
-        and T takes the remaining copies; cost[j] prices a chosen copy of
-        edge j.  The flow counts the chosen copies of each edge."""
-        P = self.problem
-        caps, lo, hi = self.bounds
-        k, n = P.n_left, P.n_left + P.n_right
-        if lo_s is not None:
-            lo = np.concatenate((np.maximum(lo[:k], lo_s), lo[k:]))
-            hi = np.concatenate((np.minimum(hi[:k], hi_s), hi[k:]))
-        if np.any(lo > hi):
-            empty = np.flatnonzero(lo > hi).tolist()
-            return FlowResult(None, witness=frozenset(empty))
-        if blocks is None and P.gamma is not None:
-            blocks = [(range(k), int(P.gamma))]
-        if blocks is not None:
-            rest = int(caps.sum()) - sum(total for _, total in blocks)
-            blocks = blocks + [(range(k, n), rest)]
-        pairs = None if cost is None else [(0, int(c)) for c in cost]
-        return _orientation_flow(n, self.edges, caps, lo, hi, pairs, blocks)
-
-    def walk(self, R, y) -> _ResidualWalk:
-        """The walk of the S-degrees y on R, the residual network of an
-        orientation flow realising them (S's own bounds filter it)."""
-        _, lo, hi = self.bounds
-        return _ResidualWalk(R, y, lo[: self._n], hi[: self._n])
-
-    def value(self, mask: int):
-        if mask not in self._memo:
-            marker = [mask >> s & 1 for s, _ in self.problem.edges]
-            res = self.flow(cost=marker)
-            if not res.feasible:
-                raise InfeasibleProblemError(
-                    "no feasible subgraph", witness=res.witness
-                )
-            self._memo[mask] = int(np.dot(res.flow, marker))
-        return self._memo[mask]
 
 
 def _sm_degrees(P: SemiMatchingProblem, z):
@@ -224,22 +189,6 @@ def _sm_degrees(P: SemiMatchingProblem, z):
         degS[s] += k
         degT[t] += k
     return degS, degT
-
-
-def _sm_realise(B: BaseHandle, y):
-    """The walk on the residual network of the orientation flow pinning
-    the S-degrees to y, filtered by S's own bounds; its block node is the
-    hub of the T-nodes, with u -> hub while u may gain in-degree and
-    hub -> w while w may lose some.  None unless y is realisable with
-    y(S) = p(S): free T-degrees realise larger sums too."""
-    oracle = B.oracle
-    res = oracle.flow(y, y)
-    if not res.feasible or int(y.sum()) != oracle.value(oracle.full_mask):
-        return None
-    return oracle.walk(res.residual, y.tolist())
-
-
-register_reader("semimatching", _sm_realise)
 
 
 def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
@@ -256,27 +205,18 @@ def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
     the in-degree bounds lo, hi, where i(X) counts the edge copies inside
     X and e(U) those touching U."""
     oracle = SemiMatchingOracle(P)
-    first = oracle.flow(cost=[1] * P.m)
+    first = oracle.flow(cost=[(0, 1)] * P.m)
     if not first.feasible:
         raise InfeasibleProblemError(
             "no subgraph meets the degree specifications", witness=first.witness
         )
-    # walk on the start's own flow, its S-degrees pinned
-    R = _pinned(first.residual, P.n_left + P.n_right, range(P.n_left))
-    walk = oracle.walk(R, _sm_degrees(P, first.flow)[0].tolist())
+    walk = walk_on(oracle, first)
     tighten(walk)
-    y = np.array(walk.m, dtype=np.int64)
     if P.cost is None:
-        z = _toward_v(R, P.m)
+        z = _toward_v(walk.R, P.m)
     else:
-        # cheapest subgraph over the whole dec-min set: keep every chain
-        # block sum exact and every node inside its small box
-        from .canonical import canonical_from_tight_sets, decmin_description
-
-        D = canonical_from_tight_sets(y, walk)
-        final = oracle.flow(*decmin_description(D), cost=P.cost)
-        assert final.feasible
-        z = final.flow
+        # cheapest subgraph over the whole dec-min set
+        z = cheapest_flow(oracle, walk, [(0, int(c)) for c in P.cost]).flow
     total_cost = None if P.cost is None else int(np.dot(z, P.cost))
     return SemiMatchingResult(z, *_sm_degrees(P, z), total_cost)
 
@@ -345,7 +285,7 @@ def max_sendable(P: MegiddoProblem) -> int:
     return value
 
 
-class MegiddoOracle(SetFunctionOracle):
+class MegiddoOracle(OrientationOracle):
     """p(X) = minimum total out-flow of the sources in X among feasible
     flows of the prescribed amount.
 
@@ -353,76 +293,27 @@ class MegiddoOracle(SetFunctionOracle):
     becomes the edge (b, a) with c copies, headed at b until a unit of
     flow heads one at a.  So every node's in-degree is its in-capacity
     plus its net out-flow: exact at inner nodes, within [0, in-capacity]
-    at sinks, and at least the in-capacity at the sources, which come
-    first and take the amount on top of their in-capacity between them."""
+    at sinks, and at least the in-capacity (the base) at the sources,
+    which come first and send the amount between them (one block)."""
 
     kind = "megiddo"
 
     def __init__(self, problem: MegiddoProblem, amount: int):
-        super().__init__(len(problem.sources))
         self.problem = problem
         self.amount = int(amount)
         self.sources = sorted(problem.sources)
-        D = problem.digraph
+        D, k = problem.digraph, len(self.sources)
         order = self.sources + [v for v in range(D.n) if v not in problem.sources]
         num = np.argsort(order).tolist()
-        self.edges = [(num[b], num[a]) for a, b in D.arcs]
-        incap = np.bincount([u for u, _ in self.edges], D.cap, D.n).astype(np.int64)
+        edges = [(num[b], num[a]) for a, b in D.arcs]
+        incap = np.bincount([u for u, _ in edges], D.cap, D.n).astype(np.int64)
         lo = np.where(np.isin(order, sorted(problem.sinks)), 0, incap)
-        self.bounds = lo, np.where(np.arange(D.n) < self._n, int(D.cap.sum()), incap)
-        self._memo: dict = {}
-
-    def flow(self, y=None, marker=None) -> FlowResult:
-        """One orientation flow sending the amount: the source out-flows
-        pinned to y when given, the total out-flow of the sources marked 1
-        in marker least when that is given.  The flow counts the units on
-        each arc of D."""
-        D, k = self.problem.digraph, self._n
-        lo, hi = self.bounds
-        if y is not None:
-            pinned = lo[:k] + y
-            lo, hi = (np.concatenate((pinned, b[k:])) for b in (lo, hi))
-        into_sources = int(self.bounds[0][:k].sum()) + self.amount
-        blocks = [(range(k), into_sources), (range(k, D.n), int(D.cap.sum()) - into_sources)]
-        pairs = None
-        if marker is not None:
-            mark = list(marker) + [0] * (D.n - k)
-            pairs = [(mark[u], mark[v]) for u, v in self.edges]
-        return _orientation_flow(D.n, self.edges, D.cap, lo, hi, pairs, blocks)
-
-    def walk(self, R, y) -> _ResidualWalk:
-        """The walk of the source out-flows y on R, the residual network
-        of a flow sending them."""
-        return _ResidualWalk(R, y, [0] * self._n, [POS_INF] * self._n)
-
-    def outflow(self, flow) -> np.ndarray:
-        """The net out-flow of each source under an arc flow of D."""
-        return -netflow.net_in_flow(self.problem.digraph, flow)[self.sources]
-
-    def value(self, mask: int):
-        if mask not in self._memo:
-            marker = [mask >> i & 1 for i in range(self._n)]
-            res = self.flow(marker=marker)
-            if not res.feasible:
-                raise InfeasibleProblemError("amount exceeds the max flow")
-            self._memo[mask] = int(np.dot(self.outflow(res.flow), marker))
-        return self._memo[mask]
+        hi = np.where(np.arange(D.n) < k, int(D.cap.sum()), incap)
+        super().__init__(D.n, edges, D.cap, lo, hi, k, incap[:k], [(range(k), self.amount)])
 
 
-def _meg_realise(B: BaseHandle, y):
-    """The reachability reader of a flow with source out-flows y: t
-    reaches s in its residual network iff s may send one more unit and t
-    one less (T_y(t) = {t} when y(t) = 0).  None when no such flow
-    exists."""
-    if np.any(y < 0):
-        return None
-    res = B.oracle.flow(y)
-    if not res.feasible:
-        return None
-    return B.oracle.walk(res.residual, y.tolist())
-
-
-register_reader("megiddo", _meg_realise)
+register_reader(SemiMatchingOracle.kind, _flow_realise)
+register_reader(MegiddoOracle.kind, _flow_realise)
 
 
 def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
@@ -437,12 +328,10 @@ def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
     oracle = MegiddoOracle(P, amount)
     first = oracle.flow()
     assert first.feasible
-    # walk on the first flow, the source out-flows pinned
-    R = _pinned(first.residual, P.digraph.n, range(oracle.n))
-    walk = oracle.walk(R, oracle.outflow(first.flow).tolist())
+    walk = walk_on(oracle, first)
     tighten(walk)
     y = np.array(walk.m, dtype=np.int64)
-    return MegiddoResult(_toward_v(R, P.digraph.m), y, oracle.sources)
+    return MegiddoResult(_toward_v(walk.R, P.digraph.m), y, oracle.sources)
 
 
 # ---------------------------------------------------------------------------

@@ -361,29 +361,6 @@ class SumOfMatroidsOracle(SetFunctionOracle):
         return self._memo[mask]
 
 
-def _sum_membership_via_intersection(oracle: SumOfMatroidsOracle, m) -> Optional[list]:
-    """Common-basis formulation: disjoint copies of the ground set, one per
-    matroid, against the partition matroid demanding exactly m(s) copies of
-    each element; returns the per-matroid bases or None."""
-    mats = oracle.matroids
-    k = len(mats)
-    n = oracle.n
-    if int(np.sum(m)) != sum(oracle._full):
-        return None
-    if np.any(m < 0) or np.any(m > k):
-        return None
-    grounds = [[i * n + v for v in range(n)] for i in range(k)]
-    n1 = direct_sum_matroid(mats, grounds)
-    blocks = [frozenset(i * n + v for i in range(k)) for v in range(n)]
-    n2 = partition_matroid(k * n, blocks, [int(m[v]) for v in range(n)])
-    common = matroid_intersection(n1, n2)
-    if len(common) != sum(oracle._full):
-        return None
-    out = [frozenset(idx - i * n for idx in common if i * n <= idx < (i + 1) * n)
-           for i in range(k)]
-    return out
-
-
 def _bits(mask: int):
     """The elements of a bitmask, in increasing order."""
     while mask:
@@ -476,30 +453,36 @@ class _SumState(Walk):
 
 
 def _sum_reader(B: BaseHandle, m) -> Optional[_SumState]:
-    """The walk of bases summing to m, found by one intersection."""
-    bases = _sum_membership_via_intersection(B.oracle, m)
-    return None if bases is None else _SumState(B.oracle.matroids, bases)
+    """The walk of bases summing to m: the greedy bases moved into the box
+    [m, m] by exchange paths, or None when no bases sum to m."""
+    state = _SumState(B.oracle.matroids, [M.greedy_basis() for M in B.oracle.matroids])
+    try:
+        _into_box(state, m, m)
+    except EmptyBaseError:
+        return None
+    return state
 
 
 register_reader("matroid-sum", _sum_reader)
 
 
-def _into_box(B: BaseHandle, state: _SumState) -> None:
-    """Move the state into the handle's box by exchange paths.  A unit
-    leaves v with m(v) > g(v) for the nearest u with m(u) < g(u) that
-    reaches v; then a unit reaches v with m(v) < f(v) from the nearest u
-    with m(u) > f(u) that v reaches.  Neither move breaks a bound that
-    holds.  When no such u exists the box misses the set:
+def _into_box(state: _SumState, lo, hi) -> None:
+    """Move the state into the box lo <= m <= hi (None: no bound) by
+    exchange paths.  A unit leaves v with m(v) > hi(v) for the nearest u
+    with m(u) < hi(u) that reaches v; then a unit reaches v with
+    m(v) < lo(v) from the nearest u with m(u) > lo(u) that v reaches.
+    Neither move breaks a bound that holds.  When no such u exists the
+    box misses the set:
 
     - the elements T that reach v form the m-tight set T_m(v), so every
-      member x has x(T) >= p(T) = m(T) > g(T);
+      member x has x(T) >= p(T) = m(T) > hi(T);
     - the elements R that v reaches hold m(R) = r_1(R) + ... + r_k(R),
-      the most any member puts on R, and m(R) < f(R).
+      the most any member puts on R, and m(R) < lo(R).
 
     EmptyBaseError then carries T or R as its witness."""
-    n = B.n
-    lo = np.full(n, NEG_INF) if B.lower is None else B.lower
-    hi = np.full(n, POS_INF) if B.upper is None else B.upper
+    n = len(state.m)
+    lo = np.full(n, NEG_INF) if lo is None else lo
+    hi = np.full(n, POS_INF) if hi is None else hi
     for v in range(n):
         while state.m[v] > hi[v]:
             reach = _search(state.pred, v)
@@ -537,7 +520,7 @@ def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
     oracle = SumOfMatroidsOracle(matroids)
     handle = BaseHandle(oracle, lower=lower, upper=upper)
     state = _SumState(oracle.matroids, [M.greedy_basis() for M in oracle.matroids])
-    _into_box(handle, state)
+    _into_box(state, handle.lower, handle.upper)
     tighten(box_walk(handle, state))
     return list(state.bases), state.m.copy()
 

@@ -14,11 +14,16 @@ tight set T_m(t) is the set of nodes t reaches in it; a step reverses
 delta copies along an s->t dipath, the exchange m + delta (chi_s - chi_t),
 pushed in place along a t->s path.  The dec-min solvers run
 engine.tighten on that walk, the same loop the engine runs on every
-kind's walk; capacitated graphs run it on copy counts.  Every oracle
-kind one orientation flow realises (graph-induced sets here,
-semi-matchings and Megiddo flows in applications) registers as its core
-reader the walk on that flow's residual network, so a solve over such a
-set runs one flow and then one path per step.
+kind's walk; capacitated graphs run it on copy counts.
+
+OrientationOracle is every set one orientation flow realises on some of
+its nodes: in-degree-bounded orientations here, semi-matchings and
+Megiddo flows in applications.  Its solvers walk on the residual
+network of their start flow (walk_on), so a solve runs one flow and
+then one path per step, and with costs one more flow over the dec-min
+set (cheapest_flow).  One reader, the walk on the flow pinning the
+vector, serves each of its kinds; graph-induced sets register the same
+walk (_graph_realise).
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ from . import netflow
 from .core import (
     BaseHandle,
     CeilingExceeded,
+    EmptyBaseError,
     GraphInducedOracle,
     NEG_INF,
     POS_INF,
+    SetFunctionOracle,
     Walk,
     as_intvec,
     register_reader,
@@ -130,11 +137,8 @@ def solve_orientation_spec(G: Graph, spec: OrientationSpec):
     """Dispatch an OrientationSpec to the matching solver."""
     lower, upper = spec.lower, spec.upper
     if spec.t_degrees is not None:
-        t_nodes = sorted(spec.t_set or range(len(spec.t_degrees)))
-        lower = np.full(G.n, NEG_INF) if lower is None else np.asarray(lower, float)
-        upper = np.full(G.n, POS_INF) if upper is None else np.asarray(upper, float)
-        for v, d in zip(t_nodes, spec.t_degrees):
-            lower[v] = upper[v] = int(d)
+        t_set = range(len(spec.t_degrees)) if spec.t_set is None else spec.t_set
+        lower, upper = _pin_degrees(G.n, lower, upper, t_set, spec.t_degrees)
     if spec.objective == "min-indeg-T":
         if spec.t_set is None:
             raise ValueError("min-indeg-T needs a node set")
@@ -265,13 +269,6 @@ def _orientation_flow(n, edges, ell, lo, hi, cost=None, blocks=None):
     return FlowResult(toward_v, residual=res.residual)
 
 
-def _orient_by_flow(G: Graph, lo, hi, message, cost=None, blocks=None) -> Orientation:
-    res = _orientation_flow(G.n, G.edges, None, lo, hi, cost, blocks)
-    if not res.feasible:
-        raise InfeasibleOrientationError(message, witness=res.witness)
-    return _oriented(G, res.flow)
-
-
 def _oriented(G: Graph, toward_v) -> Orientation:
     """The orientation heading edge j = (u, v) at v iff toward_v[j] > 0."""
     uv = np.asarray(G.edges, dtype=np.int64).reshape(-1, 2)
@@ -289,7 +286,12 @@ def orient_with_indegrees(G: Graph, m) -> Orientation:
         raise InfeasibleOrientationError(
             f"negative in-degree at node {v}", witness=frozenset({v})
         )
-    return _orient_by_flow(G, m, m, "no orientation matches the in-degree vector")
+    res = _orientation_flow(G.n, G.edges, None, m, m)
+    if not res.feasible:
+        raise InfeasibleOrientationError(
+            "no orientation matches the in-degree vector", witness=res.witness
+        )
+    return _oriented(G, res.flow)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +394,123 @@ def _improved(orient: Orientation, lo, hi, k=0) -> Orientation:
     return _oriented(orient.graph, _toward_v(R, orient.graph.m))
 
 
+# ---------------------------------------------------------------------------
+# the sets one orientation flow realises on some of its nodes
+# ---------------------------------------------------------------------------
+
+
+class OrientationOracle(SetFunctionOracle):
+    """The vectors y = in-degree - base on the first k of the n nodes of
+    an orientation of ell(j) copies of each edge j = (u, v) with
+    lo <= in-degree <= hi: an M-convex set whose p(X), the least y(X),
+    is one min-cost flow pricing each copy headed at a node of X.
+
+    blocks, (ground nodes, y-sum) pairs, fix sums of y, and the nodes
+    past the first k then take the remaining copies; without blocks the
+    in-degrees of all n nodes sum to the copies.  Bounded orientations
+    are the case k = n, base 0; semi-matchings and Megiddo flows are
+    subclasses (applications)."""
+
+    kind = "orientation"
+
+    def __init__(self, n, edges, ell, lo, hi, k=None, base=0, blocks=None):
+        super().__init__(n if k is None else k)
+        self.nodes, self.edges, self.blocks = n, edges, blocks
+        self.ell = np.ones(len(edges), np.int64) if ell is None else as_intvec(ell, len(edges))
+        self.lo, self.hi = lo, hi
+        self.base = np.zeros(self._n, dtype=np.int64) + base
+        self._memo: dict = {}
+
+    def flow(self, lo_y=None, hi_y=None, blocks=None, cost=None) -> FlowResult:
+        """One orientation flow with y narrowed to [lo_y, hi_y] (pinned
+        when lo_y = hi_y) and the sums of blocks (default: the oracle's
+        own) fixed; with cost, one price pair per edge as Graph.cost, a
+        cheapest one.  The flow counts the copies of each edge headed at
+        v; a witness is a node set of G, the nodes whose in-degree box is
+        empty when there are some."""
+        k, n = self._n, self.nodes
+        lo, hi = self.lo, self.hi
+        if lo_y is not None:
+            lo = np.concatenate((np.maximum(lo[:k], self.base + lo_y), lo[k:]))
+            hi = np.concatenate((np.minimum(hi[:k], self.base + hi_y), hi[k:]))
+        if np.any(lo > hi):
+            return FlowResult(None, witness=frozenset(np.flatnonzero(lo > hi).tolist()))
+        blocks = self.blocks if blocks is None else blocks
+        if blocks is not None:
+            blocks = [(nodes, total + int(self.base[list(nodes)].sum())) for nodes, total in blocks]
+            if k < n:
+                blocks.append((range(k, n), int(self.ell.sum()) - sum(t for _, t in blocks)))
+        return _orientation_flow(n, self.edges, self.ell, lo, hi, cost, blocks)
+
+    def y(self, toward_v) -> np.ndarray:
+        """y of the orientation heading toward_v[j] copies of edge j at v."""
+        indeg = [0] * self.nodes
+        for (u, v), k, z in zip(self.edges, self.ell.tolist(), toward_v.tolist()):
+            indeg[u] += k - z
+            indeg[v] += z
+        return np.array(indeg[: self._n], dtype=np.int64) - self.base
+
+    def walk(self, R, y) -> _ResidualWalk:
+        """The walk of y on R, the residual network of a flow realising it."""
+        k = self._n
+        return _ResidualWalk(R, y, self.lo[:k] - self.base, self.hi[:k] - self.base)
+
+    def value(self, mask: int):
+        if mask not in self._memo:
+            mark = [mask >> v & 1 for v in range(self._n)] + [0] * (self.nodes - self._n)
+            res = self.flow(cost=[(mark[u], mark[v]) for u, v in self.edges])
+            if not res.feasible:
+                raise EmptyBaseError("no orientation meets the bounds", witness=res.witness)
+            self._memo[mask] = int(self.y(res.flow) @ mark[: self._n])
+        return self._memo[mask]
+
+
+def _flow_realise(B: BaseHandle, y):
+    """The walk on the residual network of the flow pinning y, or None
+    unless y is realisable with y(S) = p(S): unless blocks or k = n fix
+    y(S), the nodes past the first k realise larger sums too."""
+    oracle = B.oracle
+    res = oracle.flow(y, y)
+    free = oracle.blocks is None and oracle.n < oracle.nodes
+    if not res.feasible or (free and int(y.sum()) != oracle.value(oracle.full_mask)):
+        return None
+    return oracle.walk(res.residual, y.tolist())
+
+
+register_reader(OrientationOracle.kind, _flow_realise)
+
+
+def walk_on(oracle: OrientationOracle, first: FlowResult) -> _ResidualWalk:
+    """The walk of a feasible flow of oracle on its own residual network,
+    the in-degrees of the ground nodes pinned; _toward_v reads the walked
+    flow off walk.R when no cost pair of first flipped an edge."""
+    R = _pinned(first.residual, oracle.nodes, range(oracle.n))
+    return oracle.walk(R, oracle.y(first.flow).tolist())
+
+
+def cheapest_flow(oracle: OrientationOracle, walk: _ResidualWalk, cost) -> FlowResult:
+    """The cheapest flow under cost over the dec-min set of oracle, walk
+    being at a dec-min element: the canonical chain read off walk keeps
+    every block sum exact and every y inside its small box
+    (canonical.decmin_description)."""
+    D = canonical_from_tight_sets(np.array(walk.m, dtype=np.int64), walk)
+    res = oracle.flow(*decmin_description(D), cost=cost)
+    assert res.feasible, "the dec-min element meets its own description"
+    return res
+
+
+def _bounded_walk(G: Graph, lo, hi):
+    """(oracle, walk) of an in-degree-bounded orientation of G: one
+    feasibility flow, walked on its own residual network."""
+    oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
+    first = oracle.flow()
+    if not first.feasible:
+        raise InfeasibleOrientationError(
+            "no in-degree-bounded orientation exists", witness=first.witness
+        )
+    return oracle, walk_on(oracle, first)
+
+
 def _resolve_bounds(G: Graph, lower, upper):
     deg = G.degrees()
     lo = np.zeros(G.n, dtype=np.int64)
@@ -405,14 +524,6 @@ def _resolve_bounds(G: Graph, lower, upper):
     return lo, hi
 
 
-def _initial_bounded(G: Graph, lo, hi) -> Orientation:
-    """Any (lo, hi)-bounded orientation via one feasibility flow."""
-    if np.any(lo > hi):
-        bad = frozenset(int(v) for v in np.flatnonzero(lo > hi))
-        raise InfeasibleOrientationError("empty in-degree box", witness=bad)
-    return _orient_by_flow(G, lo, hi, "no in-degree-bounded orientation exists")
-
-
 def decmin_orientation(G: Graph) -> Orientation:
     """Orientation whose in-degree vector is decreasingly minimal: reverse
     any dipath whose end in-degree exceeds its start in-degree by 2+."""
@@ -423,19 +534,29 @@ def decmin_orientation(G: Graph) -> Orientation:
 def decmin_orientation_bounded(G: Graph, lower=None, upper=None) -> Orientation:
     """Dec-min among orientations with f(v) <= indeg(v) <= g(v)."""
     lo, hi = _resolve_bounds(G, lower, upper)
-    return _improved(_initial_bounded(G, lo, hi), lo, hi)
+    walk = _bounded_walk(G, lo, hi)[1]
+    tighten(walk)
+    return _oriented(G, _toward_v(walk.R, G.m))
 
 
 def decmin_orientation_tspec(G: Graph, t_set, t_degrees) -> Orientation:
     """Dec-min among orientations with exact in-degrees on the nodes of
     t_set (a T-specified orientation)."""
-    t_set = sorted(set(int(v) for v in t_set))
-    spec = as_intvec(t_degrees, len(t_set))
-    lo = np.full(G.n, -np.inf)
-    hi = np.full(G.n, np.inf)
-    for v, d in zip(t_set, spec):
-        lo[v] = hi[v] = int(d)
-    return decmin_orientation_bounded(G, lo, hi)
+    return decmin_orientation_bounded(G, *_pin_degrees(G.n, None, None, t_set, t_degrees))
+
+
+def _pin_degrees(n, lower, upper, t_set, t_degrees):
+    """(lower, upper) as float copies with the in-degrees of the nodes of
+    t_set, in increasing order, pinned to t_degrees; ValueError unless
+    there is one degree per node and every node lies in range(n)."""
+    nodes = sorted(set(int(v) for v in t_set))
+    degrees = as_intvec(t_degrees, len(nodes))
+    if nodes and not 0 <= nodes[0] <= nodes[-1] < n:
+        raise ValueError(f"T-node outside range({n})")
+    lower = np.full(n, NEG_INF) if lower is None else np.array(lower, dtype=float)
+    upper = np.full(n, POS_INF) if upper is None else np.array(upper, dtype=float)
+    lower[nodes] = upper[nodes] = degrees
+    return lower, upper
 
 
 def orientation_canonical(
@@ -483,12 +604,9 @@ def cheapest_decmin_orientation_bounded(
         cost = G.cost
     if cost is None:
         cost = [(0, 0)] * G.m
-    lo, hi = _resolve_bounds(G, lower, upper)
-    base = decmin_orientation_bounded(G, lo, hi)
-    f, g, blocks = decmin_description(orientation_canonical(G, base, lo, hi))
-    return _orient_by_flow(
-        G, np.maximum(f, lo), np.minimum(g, hi), "no such orientation", cost, blocks
-    )
+    oracle, walk = _bounded_walk(G, *_resolve_bounds(G, lower, upper))
+    tighten(walk)
+    return _oriented(G, cheapest_flow(oracle, walk, cost).flow)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +625,8 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     the frozen cut independently."""
     t_set = frozenset(int(v) for v in t_set)
     lo, hi = _resolve_bounds(G, lower, upper)
-    R, deg = _residual_of(_initial_bounded(G, lo, hi))
-    walk = _ResidualWalk(R, deg, lo, hi)
+    walk = _bounded_walk(G, lo, hi)[1]
+    R, deg = walk.R, walk.m
     while True:
         pair = next(
             ((min(walk(t) - t_set), t) for t in sorted(t_set) if walk(t) - t_set),
@@ -520,7 +638,7 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     xt = np.zeros(G.n, dtype=bool)
     for t in sorted(t_set):
         if deg[t] > lo[t]:
-            xt |= R.reach(t)
+            xt |= R.reach(t)[: G.n]
     in_t = np.isin(np.arange(G.n), list(t_set))
     f2 = np.where(xt & ~in_t, hi, lo)
     g2 = np.where(in_t & ~xt, lo, hi)

@@ -5,7 +5,9 @@ import pytest
 
 from decmin.applications import (
     InfeasibleProblemError,
+    MegiddoOracle,
     MegiddoProblem,
+    SemiMatchingOracle,
     SemiMatchingProblem,
     decmin_root_vector,
     decmin_semimatching,
@@ -15,7 +17,7 @@ from decmin.applications import (
     parse_digraph,
     parse_megiddo,
 )
-from decmin.core import sorted_dec, sorted_inc, value_equivalent
+from decmin.core import EmptyBaseError, sorted_dec, sorted_inc, value_equivalent
 from decmin.netflow import Digraph, net_in_flow
 
 import util
@@ -212,6 +214,10 @@ class TestSemiMatching:
             with pytest.raises(InfeasibleProblemError) as exc:
                 decmin_semimatching(P)
             X = exc.value.witness
+            # the oracle's value on the empty set carries the same cut
+            with pytest.raises(EmptyBaseError) as empty:
+                SemiMatchingOracle(P).value(1)
+            assert empty.value.witness == X
             nl, n = P.n_left, P.n_left + P.n_right
             assert X <= set(range(n))
             caps = np.ones(P.m, np.int64) if P.edge_caps is None else P.edge_caps
@@ -275,8 +281,14 @@ class TestMegiddo:
 
     def test_amount_over_max(self):
         D = Digraph(3, [(0, 2), (1, 2)], [1, 1])
+        P = MegiddoProblem(D, {0, 1}, {2}, 5)
         with pytest.raises(InfeasibleProblemError):
-            megiddo_discrete(MegiddoProblem(D, {0, 1}, {2}, 5))
+            megiddo_discrete(P)
+        # the oracle's set is empty; the violated constraint is the sum
+        # the sources must send, so the cut holds no node of the network
+        with pytest.raises(EmptyBaseError) as exc:
+            MegiddoOracle(P, 5).value(1)
+        assert exc.value.witness == frozenset()
 
     def test_incmax_brute_random(self):
         rng = np.random.default_rng(17)

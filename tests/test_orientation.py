@@ -9,12 +9,14 @@ from decmin.canonical import (
     duality_gap,
     verify_dual_optimal,
 )
-from decmin.core import BaseHandle, is_member, sorted_dec
+from decmin.core import BaseHandle, EmptyBaseError, is_member, sorted_dec
 from decmin.engine import strongly_poly_decmin
 from decmin.orientation import (
     Graph,
     InfeasibleOrientationError,
     NotDecMinOrientationError,
+    OrientationOracle,
+    OrientationSpec,
     capacitated_decmin_orientation,
     cheapest_decmin_orientation_bounded,
     decmin_korient,
@@ -26,6 +28,7 @@ from decmin.orientation import (
     orientation_canonical,
     orientation_cost,
     parse_graph,
+    solve_orientation_spec,
 )
 
 import util
@@ -91,6 +94,18 @@ class TestDecminOrientation:
             assert sorted_dec(decmin_orientation(G).indeg) == best
 
 
+def _witness_violates(G, lo, hi, X):
+    """X certifies that no orientation of G meets lo <= indeg <= hi: the
+    nodes whose box is empty, or a set holding more edges than hi allows
+    or whose complement touches fewer edges than lo demands."""
+    if np.any(lo > hi):
+        return X == set(np.flatnonzero(lo > hi).tolist())
+    rest = set(range(G.n)) - X
+    inside = sum(1 for u, v in G.edges if u in X and v in X)
+    touching = sum(1 for u, v in G.edges if u in rest or v in rest)
+    return inside > hi[sorted(X)].sum() or touching < lo[sorted(rest)].sum()
+
+
 class TestBounded:
     def test_examples(self):
         path = util.path_graph()
@@ -120,13 +135,7 @@ class TestBounded:
             if not ok.any():
                 with pytest.raises(InfeasibleOrientationError) as exc:
                     decmin_orientation_bounded(G, lo, hi)
-                # X holds more edges than hi allows, or its complement
-                # touches fewer edges than lo demands
-                X = exc.value.witness
-                rest = set(range(G.n)) - X
-                inside = sum(1 for u, v in G.edges if u in X and v in X)
-                touching = sum(1 for u, v in G.edges if u in rest or v in rest)
-                assert inside > hi[sorted(X)].sum() or touching < lo[sorted(rest)].sum()
+                assert _witness_violates(G, lo, hi, exc.value.witness)
                 continue
             done += 1
             _, best = util.decmin_rows(scan[ok])
@@ -135,6 +144,48 @@ class TestBounded:
     def test_tspec(self):
         o = decmin_orientation_tspec(util.path_graph(), [1], [2])
         assert o.indeg.tolist() == [0, 2, 0]
+
+    def test_tspec_needs_one_degree_per_node_in_range(self):
+        # both paths pin T-degrees alike and drop none of them silently
+        path = util.path_graph()
+        for t_set, t_degrees in (({0, 1, 2}, [2]), ({2}, [0, 3]), ({3}, [1]), ({-1}, [1])):
+            with pytest.raises(ValueError):
+                decmin_orientation_tspec(path, t_set, t_degrees)
+            with pytest.raises(ValueError):
+                solve_orientation_spec(path, OrientationSpec(t_set=t_set, t_degrees=t_degrees))
+        lower = np.zeros(3)
+        spec = OrientationSpec(lower=lower, t_set={1}, t_degrees=[2])
+        assert solve_orientation_spec(path, spec).indeg.tolist() == [0, 2, 0]
+        assert lower.tolist() == [0, 0, 0]
+
+
+def test_orientation_oracle_value_is_least_indegree_sum():
+    # p(X) = min over the orientations within the bounds of indeg(X); with
+    # the bounds [0, deg] that is the induced edge count
+    rng = np.random.default_rng(31)
+    empty = 0
+    for trial in range(36):
+        G = util.random_multigraph(rng, max_nodes=7, max_edges=11)
+        deg = G.degrees()
+        lo, hi = np.zeros(G.n, np.int64), deg
+        if trial % 3:
+            lo, hi = rng.integers(0, 2, size=G.n), deg - rng.integers(0, 2, size=G.n)
+        oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
+        scan = util.orientation_scan(G)
+        rows = scan[np.all(scan >= lo, axis=1) & np.all(scan <= hi, axis=1)]
+        if not len(rows):
+            empty += 1
+            with pytest.raises(EmptyBaseError) as exc:
+                oracle.value(int(rng.integers(1 << G.n)))
+            assert _witness_violates(G, lo, hi, exc.value.witness)
+            continue
+        masks = np.arange(1 << G.n)[:, None] >> np.arange(G.n) & 1
+        least = (rows @ masks.T).min(axis=0)
+        assert [oracle.value(x) for x in range(1 << G.n)] == least.tolist()
+        if trial % 3 == 0:
+            induced = G.induced_oracle()
+            assert all(oracle.value(x) == induced.value(x) for x in range(1 << G.n))
+    assert empty
 
 
 class TestOrientationCanonical:

@@ -39,7 +39,12 @@ from decmin.core import (
 from decmin.engine import basic_decmin, initial_member, one_tightening, tightening_pair
 from decmin.matroid import AggregateMatroidOracle, SumOfMatroidsOracle, graphic_matroid
 from decmin.netflow import Digraph, net_in_flow
-from decmin.orientation import Graph, capacitated_decmin_orientation
+from decmin.orientation import (
+    Graph,
+    OrientationOracle,
+    capacitated_decmin_orientation,
+    decmin_orientation_bounded,
+)
 
 import util
 
@@ -49,6 +54,20 @@ def _graph_induced(rng):
         G = util.random_multigraph(rng, max_nodes=10, max_edges=20)
         ell = rng.integers(1, 4, size=G.m) if trial % 2 else None
         yield Graph(G.n, G.edges, ell=ell).induced_oracle()
+
+
+def _orientation(rng):
+    # in-degree-bounded orientations, edge copies on every other instance
+    done = 0
+    while done < 12:
+        G = util.random_multigraph(rng, max_nodes=7, max_edges=12)
+        ell = rng.integers(1, 3, size=G.m) if done % 2 else np.ones(G.m, np.int64)
+        deg = np.bincount(np.ravel(G.edges), np.repeat(ell, 2), G.n).astype(np.int64)
+        lo, hi = rng.integers(0, 2, size=G.n), deg - rng.integers(0, 2, size=G.n)
+        oracle = OrientationOracle(G.n, G.edges, ell, lo, hi)
+        if oracle.flow().feasible:
+            done += 1
+            yield oracle
 
 
 def _semimatching(rng):
@@ -118,6 +137,7 @@ def _root_vector(rng):
 
 INSTANCES = {
     "graph-induced": _graph_induced,
+    "orientation": _orientation,
     "semimatching": _semimatching,
     "megiddo": _megiddo,
     "matroid-sum": _matroid_sum,
@@ -382,6 +402,10 @@ def test_walk_matches_a_fresh_reader_per_step():
                 elif kind == "graph-induced":
                     G = Graph(oracle.n, oracle.edges, ell=oracle.weights)
                     assert sorted_dec(capacitated_decmin_orientation(G).indeg) == best
+                elif kind == "orientation" and (oracle.ell == 1).all():
+                    G = Graph(oracle.n, oracle.edges)
+                    got = decmin_orientation_bounded(G, oracle.lo, oracle.hi).indeg
+                    assert sorted_dec(got) == best
                 else:
                     continue
                 flows += 1
