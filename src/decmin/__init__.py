@@ -6,7 +6,6 @@ from .core import (
     BaseHandle,
     EmptyBaseError,
     EnumeratedSet,
-    GraphInducedOracle,
     GroundSet,
     NEG_INF,
     Ordering,
@@ -54,6 +53,8 @@ from .canonical import (
     value_fixed_set,
     verify_dual_optimal,
 )
+
+from .orientation import GraphInducedOracle
 
 # importing the problem modules registers their tight-set readers
 from . import applications, matroid, netflow, orientation  # noqa: F401

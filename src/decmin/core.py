@@ -15,6 +15,10 @@ A derived set function (contraction, restriction, shift, complement and
 the box's p_box) is again a TableOracle, built by numpy from the 2^n table
 of its inner function, so each costs one table and no per-mask calls.
 
+Set functions that one network flow realises (OrientationOracle and its
+kinds, graph-induced sets among them) live with that flow, in
+orientation, and register their tight-set reader here.
+
 This module also hosts the brute-force point enumeration
 (enumerate_integral_points) that the tests and the CLI's --verify scans
 use as a verification oracle.
@@ -36,6 +40,16 @@ POS_INF = float("inf")
 
 DEFAULT_SUBSET_CEILING = 20
 DEFAULT_VOLUME_CEILING = 10**6
+
+
+def __getattr__(name):
+    # perfbench/workloads.py builds core.GraphInducedOracle, the class's
+    # old home; this alias goes with the next change to the benchmark
+    if name == "GraphInducedOracle":
+        from .orientation import GraphInducedOracle
+
+        return GraphInducedOracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CeilingExceeded(RuntimeError):
@@ -252,39 +266,6 @@ class TableOracle(SetFunctionOracle):
         if self._table is None and self._n <= subset_ceiling():
             self._table = np.array(self._vals, dtype=np.float64)
         return super().table()
-
-
-class GraphInducedOracle(SetFunctionOracle):
-    """i_G: number (or total capacity) of edges induced by a node set.
-
-    Fully supermodular; defines the base-polyhedron of in-degree vectors of
-    (capacitated) orientations.
-    """
-
-    kind = "graph-induced"
-
-    def __init__(self, n_nodes: int, edges: Sequence, weights=None):
-        super().__init__(n_nodes)
-        self.edges = [(int(u), int(v)) for (u, v) in edges]
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-        if weights is None:
-            self.weights = np.ones(len(self.edges), dtype=np.int64)
-        else:
-            self.weights = as_intvec(weights, len(self.edges))
-            if np.any(self.weights < 1):
-                raise ValueError("edge capacities must be >= 1")
-        self._edge_masks = [mask_of((u, v)) for u, v in self.edges]
-
-    def value(self, mask: int):
-        return int(
-            sum(
-                w
-                for em, w in zip(self._edge_masks, self.weights)
-                if em & mask == em
-            )
-        )
 
 
 class RootVectorOracle(SetFunctionOracle):

@@ -17,13 +17,12 @@ engine.tighten on that walk, the same loop the engine runs on every
 kind's walk; capacitated graphs run it on copy counts.
 
 OrientationOracle is every set one orientation flow realises on some of
-its nodes: in-degree-bounded orientations here, semi-matchings and
-Megiddo flows in applications.  Its solvers walk on the residual
-network of their start flow (walk_on), so a solve runs one flow and
-then one path per step, and with costs one more flow over the dec-min
-set (cheapest_flow).  One reader, the walk on the flow pinning the
-vector, serves each of its kinds; graph-induced sets register the same
-walk (_graph_realise).
+its nodes: in-degree-bounded orientations and graph-induced sets (lo = 0,
+a closed-form value) here, semi-matchings and Megiddo flows in
+applications.  Its solvers walk on the residual network of their start flow
+(walk_on), so a solve runs one flow and then one path per step, and with
+costs one more flow over the dec-min set (cheapest_flow).  One reader,
+_flow_realise, the walk on the flow pinning the vector, serves each kind.
 """
 
 from __future__ import annotations
@@ -38,12 +37,12 @@ from .core import (
     BaseHandle,
     CeilingExceeded,
     EmptyBaseError,
-    GraphInducedOracle,
     NEG_INF,
     POS_INF,
     SetFunctionOracle,
     Walk,
     as_intvec,
+    mask_of,
     register_reader,
     text_parser,
 )
@@ -477,7 +476,34 @@ def _flow_realise(B: BaseHandle, y):
     return oracle.walk(res.residual, y.tolist())
 
 
+class GraphInducedOracle(OrientationOracle):
+    """i_G(X), the number (or total capacity ell) of edges inside X, in
+    closed form.  Its base-polyhedron holds the in-degree vectors of the
+    (capacitated) orientations of G: the bounded-orientation set with
+    lo = 0 and hi = ell(E), a bound no in-degree passes.  Edges and
+    capacities are checked as Graph checks them."""
+
+    kind = "graph-induced"
+
+    def __init__(self, n_nodes: int, edges, ell=None):
+        G = Graph(n_nodes, edges, ell)
+        ell = np.ones(G.m, dtype=np.int64) if G.ell is None else G.ell
+        lo = np.zeros(G.n, dtype=np.int64)
+        super().__init__(G.n, G.edges, ell, lo, lo + int(ell.sum()))
+        self._edge_masks = [mask_of(e) for e in self.edges]
+
+    def value(self, mask: int):
+        return int(
+            sum(
+                w
+                for em, w in zip(self._edge_masks, self.ell)
+                if em & mask == em
+            )
+        )
+
+
 register_reader(OrientationOracle.kind, _flow_realise)
+register_reader(GraphInducedOracle.kind, _flow_realise)
 
 
 def walk_on(oracle: OrientationOracle, first: FlowResult) -> _ResidualWalk:
@@ -757,24 +783,6 @@ def capacitated_decmin_orientation(G: Graph) -> CapacitatedOrientation:
     R, deg = _residual(G.n, G.edges, ell, ell)
     tighten(_ResidualWalk(R, deg, [0] * G.n, [sum(ell)] * G.n))
     return CapacitatedOrientation(G, _toward_v(R, G.m))
-
-
-# ---------------------------------------------------------------------------
-# tight sets of the graph-induced set: one flow realising m
-# ---------------------------------------------------------------------------
-
-
-def _graph_realise(B: BaseHandle, m):
-    """The walk of the orientation realising the in-degree vector m, or
-    None when there is none."""
-    p = B.oracle
-    res = _orientation_flow(p.n, p.edges, p.weights, m, m)
-    if not res.feasible:
-        return None
-    return _ResidualWalk(res.residual, m.tolist(), [0] * p.n, [POS_INF] * p.n)
-
-
-register_reader("graph-induced", _graph_realise)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from decmin.canonical import (
 from decmin.core import (
     NEG_INF,
     BaseHandle,
-    GraphInducedOracle,
     TableOracle,
     enumerate_integral_points,
     iter_masks,
     mask_of,
 )
 from decmin.engine import strongly_poly_decmin
+from decmin.orientation import GraphInducedOracle
 
 import util
 

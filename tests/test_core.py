@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decmin.engine import basic_decmin, initial_member, strongly_poly_decmin
+from decmin.orientation import GraphInducedOracle
 
 from decmin.core import (
     NEG_INF,
@@ -10,7 +11,6 @@ from decmin.core import (
     BaseHandle,
     CeilingExceeded,
     EmptyBaseError,
-    GraphInducedOracle,
     GroundSet,
     Ordering,
     TableOracle,

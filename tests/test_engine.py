@@ -3,7 +3,6 @@ import pytest
 
 from decmin.core import (
     BaseHandle,
-    GraphInducedOracle,
     TableOracle,
     enumerate_integral_points,
     brute_decmin_set,
@@ -28,6 +27,7 @@ from decmin.engine import (
     strongly_poly_decmin,
     _CardinalityOracle,
 )
+from decmin.orientation import GraphInducedOracle
 
 import util
 

@@ -400,7 +400,7 @@ def test_walk_matches_a_fresh_reader_per_step():
                     _check_megiddo(P, oracle.amount, res)
                     assert sorted_dec(res.outflow) == best
                 elif kind == "graph-induced":
-                    G = Graph(oracle.n, oracle.edges, ell=oracle.weights)
+                    G = Graph(oracle.n, oracle.edges, ell=oracle.ell)
                     assert sorted_dec(capacitated_decmin_orientation(G).indeg) == best
                 elif kind == "orientation" and (oracle.ell == 1).all():
                     G = Graph(oracle.n, oracle.edges)
