@@ -19,11 +19,12 @@ of either (oracle value, start, realization, tight-set reader):
 - a Megiddo flow orients the reversed arcs of D, one copy per unit of
   capacity, with the sources numbered first (MegiddoOracle).
 
-decmin_semimatching and megiddo_discrete solve one flow, the start's:
-engine.tighten walks on its residual network with the objective nodes
-pinned (orientation.walk_on), one path per step, and the final flow is
-read off that network, or with costs is one cheapest flow over the
-dec-min set (orientation.cheapest_flow).
+decmin_semimatching and megiddo_discrete solve one flow, the start's
+(a Megiddo start raises the zero flow to the amount by a max flow on its
+own residual network): engine.tighten walks on its residual network with
+the objective nodes pinned (orientation.walk_on), one path per step, and
+the final flow is read off that network, or with costs is one cheapest
+flow over the dec-min set (orientation.cheapest_flow).
 
 Root-vectors register an exact membership test (core.register_membership).
 """
@@ -31,6 +32,7 @@ Root-vectors register an exact membership test (core.register_membership).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +49,7 @@ from .core import (
     text_parser,
 )
 from .engine import basic_decmin, tighten
-from .netflow import Digraph
+from .netflow import Digraph, FlowResult
 from .orientation import (
     OrientationOracle,
     _flow_realise,
@@ -270,21 +272,6 @@ class MegiddoResult:
     sources: list
 
 
-def max_sendable(P: MegiddoProblem) -> int:
-    D = P.digraph
-    big = int(D.cap.sum()) + 1
-    sigma, tau = D.n, D.n + 1
-    arcs = list(D.arcs) + [(sigma, s) for s in sorted(P.sources)]
-    caps = [int(c) for c in D.cap] + [big] * len(P.sources)
-    for t in sorted(P.sinks):
-        arcs.append((t, tau))
-        caps.append(big)
-    value, _, _ = netflow.max_flow(
-        Digraph(D.n + 2, arcs, np.array(caps, dtype=np.int64)), sigma, tau
-    )
-    return value
-
-
 class MegiddoOracle(OrientationOracle):
     """p(X) = minimum total out-flow of the sources in X among feasible
     flows of the prescribed amount.
@@ -318,20 +305,29 @@ register_reader(MegiddoOracle.kind, _flow_realise)
 
 def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
     """Integral flow of the prescribed amount whose per-source out-flow
-    vector is inc-max (equivalently dec-min over the same M-convex set)."""
-    limit = max_sendable(P)
-    amount = limit if P.amount is None else int(P.amount)
-    if amount > limit or amount < 0:
-        raise InfeasibleProblemError(
-            f"amount {amount} exceeds the maximum sendable {limit}"
-        )
-    oracle = MegiddoOracle(P, amount)
-    first = oracle.flow()
-    assert first.feasible
-    walk = walk_on(oracle, first)
+    vector is inc-max (equivalently dec-min over the same M-convex set);
+    with the amount unset, of the largest amount the sources can send.
+
+    One flow: the orientation flow sending nothing, then a max flow on
+    its residual network from the other block's node to the sources'
+    (each unit moves one unit of the block sums, so one more unit leaves
+    the sources), up to the amount; the walk starts from that flow."""
+    zero = MegiddoOracle(P, 0)
+    first = zero.flow()
+    assert first.feasible, "the zero flow meets every bound"
+    R, n = first.residual, P.digraph.n
+    want = math.inf if P.amount is None else int(P.amount)
+    if want < 0:
+        raise InfeasibleProblemError(f"amount {want} is negative")
+    sent = netflow._blocking_flows(R, n + 1, n, want)
+    if sent < want < math.inf:
+        raise InfeasibleProblemError(f"amount {want} exceeds the maximum sendable {sent}")
+    # the walk pins the sources' arcs to the block nodes, so it never reads
+    # the block sums the zero-amount oracle was built with
+    walk = walk_on(zero, FlowResult(_toward_v(R, P.digraph.m), residual=R))
     tighten(walk)
     y = np.array(walk.m, dtype=np.int64)
-    return MegiddoResult(_toward_v(walk.R, P.digraph.m), y, oracle.sources)
+    return MegiddoResult(_toward_v(walk.R, P.digraph.m), y, zero.sources)
 
 
 # ---------------------------------------------------------------------------

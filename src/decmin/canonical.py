@@ -25,7 +25,7 @@ from .core import (
     member_tight_sets,
     tight_sets,
 )
-from .engine import strongly_poly_decmin, tightening_pair
+from .engine import strongly_poly_decmin, tight_union, tightening_pair
 
 
 class NotDecMinError(ValueError):
@@ -145,14 +145,20 @@ def canonical_from_tight_sets(m, tight) -> CanonicalDecomposition:
     """Read the canonical decomposition off a dec-min element m, given its
     smallest m-tight sets tight(u): beta_i is the next largest value outside
     C_{i-1} and C_i is the union of tight(u) over the elements u of value at
-    least beta_i."""
+    least beta_i.
+
+    Smallest tight sets are closed under intersection, so u in tight(w)
+    implies tight(u) within tight(w): C_i starts from C_{i-1} and reads
+    tight(u) only for the u outside the union so far (engine.tight_union),
+    one read per maximal set instead of one per element."""
     n = len(m)
     chain, partition, betas, counts, value_fixed = [], [], [], [], []
     delta = np.zeros(n, dtype=np.int64)
     covered = frozenset()
+    union = set()
     while len(covered) < n:
         beta = max(int(m[v]) for v in range(n) if v not in covered)
-        ci = frozenset().union(*(tight(u) for u in range(n) if m[u] >= beta))
+        ci = frozenset(tight_union(tight, (u for u in range(n) if m[u] >= beta), union))
         si = ci - covered
         betas.append(beta)
         chain.append(ci)

@@ -325,7 +325,7 @@ def _verify_matroid_sum(mats, lower, upper, total) -> None:
         _fail_verify("the basis-tuple scan")
 
 
-def _verify_megiddo(P, amount, res) -> None:
+def _verify_megiddo(P, res) -> None:
     import itertools
 
     from .netflow import net_in_flow
@@ -348,11 +348,13 @@ def _verify_megiddo(P, amount, res) -> None:
             if v not in P.sources and v not in P.sinks
         ):
             continue
-        if -int(psi[srcs].sum()) != amount:
+        total = -int(psi[srcs].sum())
+        if P.amount is not None and total != P.amount:
             continue
-        sig = core.sorted_inc(-psi[srcs])
-        best = sig if best is None or sig > best else best
-    if best is not None and core.sorted_inc(res.outflow) != best:
+        # unset, the amount is the largest any flow sends
+        key = (total, core.sorted_inc(-psi[srcs]))
+        best = key if best is None or key > best else best
+    if best is not None and (int(res.outflow.sum()), core.sorted_inc(res.outflow)) != best:
         _fail_verify("the exhaustive flow scan")
 
 
@@ -389,10 +391,7 @@ def _cmd_megiddo(args) -> int:
         _emit({"infeasible": str(exc), "witness": []}, args.format)
         return 2
     if args.verify:
-        amount = P.amount
-        if amount is None:
-            amount = applications.max_sendable(P)
-        _verify_megiddo(P, amount, res)
+        _verify_megiddo(P, res)
     _emit(
         {
             "outflow": res.outflow.tolist(),

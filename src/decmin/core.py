@@ -241,11 +241,13 @@ class SetFunctionOracle:
 
 class TableOracle(SetFunctionOracle):
     """Explicit table of 2^n values: ints, -inf, and +inf where a
-    complement has them."""
+    complement has them.  An integer array is read with one tolist(),
+    whose ints are exact; other input goes value by value."""
 
     kind = "explicit-table"
 
     def __init__(self, values):
+        exact = isinstance(values, np.ndarray) and values.dtype.kind in "iu"
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         n = len(values).bit_length() - 1
         if 1 << n != len(values):
@@ -255,7 +257,7 @@ class TableOracle(SetFunctionOracle):
             raise ValueError("value on the empty set must be 0")
         if values[-1] in (NEG_INF, POS_INF):
             raise ValueError("value on the full ground set must be finite")
-        self._vals = [
+        self._vals = values if exact else [
             v if v in (NEG_INF, POS_INF) else int(v) for v in values
         ]
 

@@ -8,6 +8,13 @@ moves in place, one step per 1-tightening pair, and the walk answers the
 next tight sets.  A flow-backed walk pushes each step along a path of its
 residual network, a matroid-sum walk along an exchange path; the others
 read the new vector again.  The orientation solvers run the same loop.
+
+Smallest tight sets are closed under intersection, so t' in T_m(t)
+implies T_m(t') within T_m(t).  A scan that has read T_m(t) and found no
+candidate s there therefore has none to find at any t' inside it:
+tightening_pair and the peak-set union read T_m(t) only for the t outside
+the union of the sets read so far, one search per maximal tight set
+instead of one per element, with the same answer.
 """
 
 from __future__ import annotations
@@ -97,11 +104,18 @@ def tightening_pair(m, tight: Callable[[int], frozenset]) -> Optional[tuple]:
     Targets t are scanned by decreasing m(t) (the
     highest-in-degree-end heuristic); for each t the smallest m-tight set
     answers every candidate s at once, and the smallest m(s) inside it wins.
+    A target inside a set already read is skipped unread: T_m(t') lies
+    within that set and m(t') <= m(t), so t' has no candidate either.
     """
+    read = set()
     for t in sorted(range(len(m)), key=lambda v: (-int(m[v]), v)):
-        cands = [s for s in tight(t) if s != t and m[t] - m[s] >= 2]
+        if t in read:
+            continue
+        tt = tight(t)
+        cands = [s for s in tt if s != t and m[t] - m[s] >= 2]
         if cands:
             return min(cands, key=lambda v: (int(m[v]), v)), t
+        read.update(tt)
     return None
 
 
@@ -313,9 +327,20 @@ def _pre_decmin_walk(B: BaseHandle, m, beta: int) -> Walk:
     return walk
 
 
+def tight_union(tight, targets, union: Optional[set] = None) -> set:
+    """union (a union of smallest tight sets, default empty) grown in place
+    by tight(u) for every u of targets, read only for the u outside it: a
+    u inside tight(w) has tight(u) within tight(w) and adds nothing."""
+    union = set() if union is None else union
+    for u in targets:
+        if u not in union:
+            union.update(tight(u))
+    return union
+
+
 def _peak(walk: Walk, beta: int) -> frozenset:
     m = walk.m
-    return frozenset().union(*(walk(t) for t in range(len(m)) if m[t] == beta))
+    return frozenset(tight_union(walk, (t for t in range(len(m)) if m[t] == beta)))
 
 
 def pre_decmin_tighten(B: BaseHandle, m, beta: int) -> np.ndarray:

@@ -67,6 +67,15 @@ class NotDecMinOrientationError(ValueError):
     pass
 
 
+def _check_edges(n, edges) -> None:
+    """ValueError unless every edge joins two distinct nodes of range(n)."""
+    for u, v in edges:
+        if u == v:
+            raise ValueError("loops are not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge endpoint out of range")
+
+
 @dataclass
 class Graph:
     """Undirected multigraph; optional per-edge capacities and per-direction
@@ -80,11 +89,7 @@ class Graph:
 
     def __post_init__(self):
         self.edges = [(int(u), int(v)) for u, v in self.edges]
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError("edge endpoint out of range")
+        _check_edges(self.n, self.edges)
         if self.ell is not None:
             self.ell = as_intvec(self.ell, len(self.edges))
             if np.any(self.ell < 1):
@@ -408,12 +413,14 @@ class OrientationOracle(SetFunctionOracle):
     past the first k then take the remaining copies; without blocks the
     in-degrees of all n nodes sum to the copies.  Bounded orientations
     are the case k = n, base 0; semi-matchings and Megiddo flows are
-    subclasses (applications)."""
+    subclasses (applications).  Every edge joins two distinct nodes of
+    range(n), else ValueError; ell may be 0 (a Megiddo arc of capacity 0)."""
 
     kind = "orientation"
 
     def __init__(self, n, edges, ell, lo, hi, k=None, base=0, blocks=None):
         super().__init__(n if k is None else k)
+        _check_edges(n, edges)
         self.nodes, self.edges, self.blocks = n, edges, blocks
         self.ell = np.ones(len(edges), np.int64) if ell is None else as_intvec(ell, len(edges))
         self.lo, self.hi = lo, hi

@@ -12,12 +12,19 @@ from decmin.applications import (
     decmin_root_vector,
     decmin_semimatching,
     load_semimatching_json,
-    max_sendable,
     megiddo_discrete,
     parse_digraph,
     parse_megiddo,
 )
-from decmin.core import EmptyBaseError, sorted_dec, sorted_inc, value_equivalent
+from decmin.core import (
+    BaseHandle,
+    EmptyBaseError,
+    TableOracle,
+    sorted_dec,
+    sorted_inc,
+    value_equivalent,
+)
+from decmin.engine import basic_decmin
 from decmin.netflow import Digraph, net_in_flow
 
 import util
@@ -307,7 +314,7 @@ class TestMegiddo:
             if n > 3:
                 sources = {0, 1}
             P = MegiddoProblem(D, sources, sinks)
-            limit = max_sendable(P)
+            limit = util.max_sendable(P)
             amount = int(rng.integers(0, limit + 1))
             P = MegiddoProblem(D, sources, sinks, amount)
             res = megiddo_discrete(P)
@@ -345,6 +352,32 @@ class TestMegiddo:
                 sig = sorted_inc(-psi[srcs])
                 best = sig if best is None or sig > best else best
             assert sorted_inc(res.outflow) == best
+
+    def test_amounts_match_a_max_flow_and_the_table_route(self):
+        # unset, the amount is the max flow of a super-source/super-sink
+        # copy of D; set or unset, the sorted out-flows are those of the
+        # basic algorithm on the oracle's 2^k value table, and an amount
+        # past the maximum or below 0 raises
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                    for _ in range(int(rng.integers(1, 3 * n)))]
+            D = Digraph(n, arcs, rng.integers(0, 4, size=len(arcs)))
+            nodes = rng.permutation(n).tolist()
+            k = int(rng.integers(1, min(3, n - 1) + 1))
+            sources, sinks = nodes[:k], nodes[k:k + int(rng.integers(1, n - k + 1))]
+            limit = util.max_sendable(MegiddoProblem(D, sources, sinks))
+            for amount in (None, int(rng.integers(0, limit + 1))):
+                res = megiddo_discrete(MegiddoProblem(D, sources, sinks, amount))
+                amount = limit if amount is None else amount
+                assert int(res.outflow.sum()) == amount
+                table = TableOracle([MegiddoOracle(MegiddoProblem(D, sources, sinks), amount).value(x)
+                                     for x in range(1 << k)])
+                assert sorted_dec(res.outflow) == sorted_dec(basic_decmin(BaseHandle(table)))
+            for amount in (limit + 1 + int(rng.integers(0, 3)), -1):
+                with pytest.raises(InfeasibleProblemError):
+                    megiddo_discrete(MegiddoProblem(D, sources, sinks, amount))
 
     def test_parsers(self):
         P = parse_megiddo(
@@ -480,4 +513,4 @@ def test_flow_backed_solves_read_no_table_and_no_exchange(monkeypatch):
     res = megiddo_discrete(P)
     psi = net_in_flow(D, res.flow)
     assert (res.outflow == -psi[:24]).all()
-    assert int(res.outflow.sum()) == max_sendable(P) > 0
+    assert int(res.outflow.sum()) == util.max_sendable(P) > 0

@@ -268,6 +268,19 @@ class TestTableKernels:
         assert np.array_equal(c.table(), d.table())
         assert d.value(1) == NEG_INF and type(d.value(3)) is int
 
+    def test_integer_array_is_read_exactly(self):
+        # an integer array goes through one tolist(): values past 2^53,
+        # which a float cannot hold, stay exact python ints; a float
+        # array with -inf keeps its -inf and turns the rest into ints
+        odd = 2**53 + 1
+        for dtype in (np.int64, np.uint64):
+            p = TableOracle(np.array([0, odd, 3, odd + 4], dtype=dtype))
+            assert [p.value(x) for x in range(4)] == [0, odd, 3, odd + 4]
+            assert all(type(p.value(x)) is int for x in range(4))
+        q = TableOracle(np.array([0.0, NEG_INF, 2.0, 5.0]))
+        assert [q.value(x) for x in range(4)] == [0, NEG_INF, 2, 5]
+        assert type(q.value(2)) is int and q.table().tolist() == [0.0, NEG_INF, 2.0, 5.0]
+
     def test_table_respects_the_subset_ceiling(self, monkeypatch):
         p = TableOracle([0, 0, 0, 1])
         monkeypatch.setenv("DECMIN_BRUTE_CEILING", "1")

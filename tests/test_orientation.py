@@ -229,6 +229,17 @@ def test_graph_induced_oracle_checks_its_graph():
     assert decmin.core.GraphInducedOracle is decmin.orientation.GraphInducedOracle
 
 
+def test_orientation_oracle_checks_its_edges():
+    # endpoints outside range(n), negative endpoints and loops fail at
+    # construction, not as an IndexError inside the first flow; an edge
+    # with no copies (a Megiddo arc of capacity 0) stays legal
+    lo, hi = np.zeros(3, np.int64), np.full(3, 5)
+    for edges in ([(0, 5), (1, 2)], [(-1, 2)], [(1, 1)]):
+        with pytest.raises(ValueError):
+            OrientationOracle(3, edges, None, lo, hi)
+    assert OrientationOracle(3, [(0, 2), (1, 2)], [0, 2], lo, hi).value(7) == 2
+
+
 class TestOrientationCanonical:
     def test_examples(self):
         c4 = util.c4_graph()

@@ -23,7 +23,6 @@ from decmin.applications import (
     SemiMatchingOracle,
     SemiMatchingProblem,
     decmin_semimatching,
-    max_sendable,
     megiddo_discrete,
 )
 from decmin.core import (
@@ -36,7 +35,15 @@ from decmin.core import (
     sorted_dec,
     tight_sets,
 )
-from decmin.engine import basic_decmin, initial_member, one_tightening, tightening_pair
+from decmin.canonical import canonical_from_tight_sets
+from decmin.engine import (
+    _peak,
+    basic_decmin,
+    initial_member,
+    one_tightening,
+    tighten,
+    tightening_pair,
+)
 from decmin.matroid import AggregateMatroidOracle, SumOfMatroidsOracle, graphic_matroid
 from decmin.netflow import Digraph, net_in_flow
 from decmin.orientation import (
@@ -103,7 +110,7 @@ def _megiddo(rng):
         nodes = rng.permutation(n).tolist()
         k = int(rng.integers(2, min(4, n - 1) + 1))
         P = MegiddoProblem(D, nodes[:k], nodes[k:k + 3])
-        yield MegiddoOracle(P, int(rng.integers(0, max_sendable(P) + 1)))
+        yield MegiddoOracle(P, int(rng.integers(0, util.max_sendable(P) + 1)))
 
 
 def _matroid_sum(rng):
@@ -460,3 +467,130 @@ def test_flow_backed_solves_run_a_fixed_number_of_flows(monkeypatch):
         heads = np.bincount([v for _, v in G.edges], minlength=G.n)
         assert solve(basic_decmin, B, heads)[0] == {"feasible": 1}
     assert all(len(steps) >= 3 for steps in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# one search per maximal tight set
+# ---------------------------------------------------------------------------
+
+
+class _Recording(core.Walk):
+    """A walk that keeps, scan by scan, each target it is asked for with
+    the set it answered; a step starts the next scan."""
+
+    def __init__(self, inner):
+        self.m, self._inner, self.scans = inner.m, inner, [[]]
+
+    def __call__(self, t):
+        got = self._inner(t)
+        self.scans[-1].append((t, got))
+        return got
+
+    def step(self, s, t, limit=1):
+        self.scans.append([])
+        return self._inner.step(s, t, limit)
+
+
+def _reads_inside_an_earlier_set(scan) -> bool:
+    """Does the scan read a target that a set it read before holds?"""
+    seen = set()
+    for t, got in scan:
+        if t in seen:
+            return True
+        seen |= got
+    return False
+
+
+def _skip_instances(kind, rng):
+    if kind != "explicit-table":
+        yield from INSTANCES[kind](rng)
+        return
+    for _ in range(12):
+        yield util.random_supermodular_table(rng, int(rng.integers(2, 7)))
+
+
+SKIP_KINDS = sorted(core._READERS) + ["explicit-table"]
+
+
+@pytest.mark.parametrize("kind", SKIP_KINDS)
+def test_tightening_pair_matches_the_full_scan(kind):
+    # at every step of a tighten run from a member far from dec-min, boxed
+    # and unboxed, the scan that skips targets inside the sets it has read
+    # returns the pair of the scan that reads every target, and so does
+    # the pre-dec-min scan that reads only the largest-valued targets
+    rng, pick = np.random.default_rng(71), np.random.default_rng(73)
+    modularity = _modularity(kind)
+    steps = 0
+    for oracle in _skip_instances(kind, rng):
+        n = oracle.n
+        table = TableOracle([oracle.value(x) for x in range(1 << n)])
+        start = _start(BaseHandle(table, modularity))
+        for box in ({}, _box_around(pick, start)):
+            walk = _Recording(tight_sets(BaseHandle(oracle, modularity, **box), start))
+            m, inner = walk.m, walk._inner
+            while True:
+                top = max(m)
+
+                def at_top(tight):
+                    return lambda t: tight(t) if m[t] == top else frozenset({t})
+
+                assert tightening_pair(m, at_top(walk)) == util.full_scan_pair(m, at_top(inner))
+                walk.scans.append([])
+                pair = tightening_pair(m, walk)
+                assert pair == util.full_scan_pair(m, inner)
+                if pair is None:
+                    break
+                s, t = pair
+                walk.step(s, t, int(m[t] - m[s]) // 2)
+                steps += 1
+            assert not any(map(_reads_inside_an_earlier_set, walk.scans))
+    assert steps >= 4
+
+
+@pytest.mark.parametrize("kind", SKIP_KINDS)
+def test_chain_and_peak_unions_match_full_unions(kind):
+    # at a dec-min element, boxed and unboxed, the canonical chain and
+    # the peak set of every value, which skip the elements inside the
+    # union so far, are the unions of every element's smallest tight set
+    rng, pick = np.random.default_rng(79), np.random.default_rng(83)
+    modularity = _modularity(kind)
+    for oracle in _skip_instances(kind, rng):
+        table = TableOracle([oracle.value(x) for x in range(1 << oracle.n)])
+        start = _start(BaseHandle(table, modularity))
+        for box in ({}, _box_around(pick, start)):
+            B = BaseHandle(oracle, modularity, **box)
+            m = basic_decmin(B, start)
+            walk = tight_sets(B, m)
+            D = canonical_from_tight_sets(m, walk)
+            assert D.chain == [util.full_union(m, walk, lambda v: v >= beta) for beta in D.betas]
+            for beta in set(m.tolist()):
+                assert _peak(walk, beta) == util.full_union(m, walk, lambda v: v == beta)
+
+
+def _plain_orientation_walk(rng, n, mm):
+    """The walk of decmin_orientation on a connected multigraph with n
+    nodes and mm edges (a random spanning tree plus random edges), every
+    edge (u, v) headed at v."""
+    order = rng.permutation(n).tolist()
+    edges = [(order[int(rng.integers(i))], order[i]) for i in range(1, n)]
+    while len(edges) < mm:
+        u, v = rng.choice(n, size=2, replace=False).tolist()
+        edges.append((u, v))
+    G = Graph(n, edges)
+    R, deg = orientation._residual_of(orientation.Orientation(G, [v for _, v in edges]))
+    return G, orientation._ResidualWalk(R, deg, [0] * n, G.degrees())
+
+
+def test_scans_skip_targets_inside_sets_already_read():
+    # within one scan of a plain orientation solve no target is read that
+    # lies inside a set read before it, so the final dec-min certificate
+    # reads one set per maximal tight set: fewer than n/2 of them
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        G, inner = _plain_orientation_walk(rng, 100, 500)
+        walk = _Recording(inner)
+        tighten(walk)
+        assert len(walk.scans) > 20
+        assert not any(map(_reads_inside_an_earlier_set, walk.scans))
+        assert len(walk.scans[-1]) < G.n / 2
+        assert util.full_scan_pair(walk.m, inner) is None

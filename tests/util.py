@@ -204,6 +204,38 @@ def random_bipartite(rng, max_left=4, max_right=4, max_edges=12):
 # ---------------------------------------------------------------------------
 
 
+def full_scan_pair(m, tight):
+    """The 1-tightening pair read off every target's smallest tight set:
+    targets by decreasing m(t), the first one with a candidate s (m(s) <=
+    m(t) - 2 in tight(t)) gives the pair with the smallest m(s); None when
+    no target has one."""
+    for t in sorted(range(len(m)), key=lambda v: (-int(m[v]), v)):
+        cands = [s for s in tight(t) if s != t and m[t] - m[s] >= 2]
+        if cands:
+            return min(cands, key=lambda v: (int(m[v]), v)), t
+    return None
+
+
+def full_union(m, tight, keep) -> frozenset:
+    """The union of tight(u) over every u with keep(m(u))."""
+    return frozenset().union(*(tight(u) for u in range(len(m)) if keep(int(m[u]))))
+
+
+def max_sendable(P) -> int:
+    """The largest amount a MegiddoProblem's sources can send into its
+    sinks: one max flow from a super-source feeding every source to a
+    super-sink drained by every sink, on a copy of the digraph."""
+    from decmin.netflow import Digraph, max_flow
+
+    D = P.digraph
+    big = int(D.cap.sum()) + 1
+    sigma, tau = D.n, D.n + 1
+    arcs = list(D.arcs) + [(sigma, s) for s in sorted(P.sources)]
+    arcs += [(t, tau) for t in sorted(P.sinks)]
+    caps = D.cap.tolist() + [big] * (len(P.sources) + len(P.sinks))
+    return max_flow(Digraph(D.n + 2, arcs, caps), sigma, tau)[0]
+
+
 def orientation_scan(G: Graph) -> np.ndarray:
     """In-degree vectors of all 2^m orientations, row per head-code."""
     m = G.m
