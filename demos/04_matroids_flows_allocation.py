@@ -19,11 +19,10 @@ from decmin.matroid import (
     decmin_basis_sum,
     decmin_partition_intersection,
     graphic_matroid,
-    inout_decmin_orientation,
     matroid_intersection,
 )
 from decmin.netflow import Digraph
-from decmin.orientation import Graph
+from decmin.orientation import Graph, inout_decmin_orientation
 
 # ---------------------------------------------------------------------------
 # 1. matroid intersection on the two rank-2 matroids with complementary

@@ -263,6 +263,9 @@ class MegiddoProblem:
             raise ValueError("source and sink sets must be disjoint")
         if not self.sources or not self.sinks:
             raise ValueError("source and sink sets must be non-empty")
+        for v in sorted(self.sources | self.sinks):
+            if not 0 <= v < self.digraph.n:
+                raise ValueError(f"source or sink node {v} outside range({self.digraph.n})")
 
 
 @dataclass

@@ -775,9 +775,14 @@ def text_parser(fn):
 @text_parser
 def load_table_json(text: str) -> TableOracle:
     """Set-function table format: {"n": k, "values": {"<mask>": int|"-inf"}}.
-    Missing masks default to -inf except the empty set, which is 0."""
+    Missing masks default to -inf except the empty set, which is 0; n must
+    lie in 1..subset_ceiling(), checked before the 2^n values exist."""
     doc = json.loads(text)
     n = int(doc["n"])
+    if n < 1:
+        raise ValueError(f"a table needs n >= 1, not {n}")
+    if n > subset_ceiling():
+        raise CeilingExceeded(f"a table on n={n} exceeds subset ceiling {subset_ceiling()}")
     vals = [NEG_INF] * (1 << n)
     vals[0] = 0
     for key, raw in doc.get("values", {}).items():

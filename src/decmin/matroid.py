@@ -1,6 +1,10 @@
-"""Matroid oracles, Edmonds' matroid intersection, greedy bases, dec-min
-sums of matroid bases, dec-min partition-intersection vectors, and the
-orientation that is dec-min in both degree directions at once.
+"""Matroid oracles, Edmonds' matroid intersection, greedy bases, the block
+matroids of a canonical decomposition, dec-min sums of matroid bases and
+dec-min partition-intersection vectors.
+
+The orientation that is dec-min in both degree directions at once is one
+orientation flow over two dec-min descriptions
+(orientation.inout_decmin_orientation).
 """
 
 from __future__ import annotations
@@ -131,55 +135,6 @@ def dual_matroid(M: MatroidOracle) -> MatroidOracle:
         return M.rank(ground - X) == full
 
     return MatroidOracle(M.n, indep, f"dual({M.name})")
-
-
-def restrict_matroid(M: MatroidOracle, keep) -> tuple:
-    """Restriction to ``keep``; returns (matroid, old-labels-of-new-ground)."""
-    keep = sorted(set(int(v) for v in keep))
-    back = {j: v for j, v in enumerate(keep)}
-
-    def indep(X):
-        return M.independent({back[j] for j in X})
-
-    return MatroidOracle(len(keep), indep, f"{M.name}|"), keep
-
-
-def contract_matroid(M: MatroidOracle, away) -> tuple:
-    """Contraction of ``away`` (must be independent); returns
-    (matroid, old-labels-of-new-ground)."""
-    away = frozenset(int(v) for v in away)
-    if not M.independent(away):
-        raise ValueError("can only contract an independent set")
-    keep = sorted(set(range(M.n)) - away)
-    back = {j: v for j, v in enumerate(keep)}
-    base_rank = M.rank(away)
-
-    def indep(X):
-        lifted = {back[j] for j in X} | away
-        return M.rank(lifted) == len(X) + base_rank
-
-    return MatroidOracle(len(keep), indep, f"{M.name}/"), keep
-
-
-def direct_sum_matroid(parts: Sequence, grounds: Sequence) -> MatroidOracle:
-    """Direct sum of matroids living on disjoint index sets of a common
-    ground set; grounds[i] maps part i's local indices to global ones."""
-    n = 1 + max(v for g in grounds for v in g) if grounds else 0
-    lookup = {}
-    for i, g in enumerate(grounds):
-        for j, v in enumerate(g):
-            lookup[int(v)] = (i, j)
-
-    def indep(X):
-        per = [set() for _ in parts]
-        for v in X:
-            if v not in lookup:
-                return False
-            i, j = lookup[v]
-            per[i].add(j)
-        return all(parts[i].independent(per[i]) for i in range(len(parts)))
-
-    return MatroidOracle(n, indep, "direct-sum")
 
 
 def _contracted_value(eff: SetFunctionOracle, witness, prev_mask: int, xmask: int):
@@ -597,63 +552,6 @@ def decmin_partition_intersection(M: MatroidOracle, blocks: Sequence):
     if basis is None:
         raise RuntimeError("dec-min aggregate vector failed to realize")
     return basis, y
-
-
-# ---------------------------------------------------------------------------
-# orientations dec-min in both in-degrees and out-degrees
-# ---------------------------------------------------------------------------
-
-
-def inout_decmin_orientation(G):
-    """An orientation whose in-degree vector is dec-min and whose
-    out-degree vector is dec-min too, or None when no orientation achieves
-    both at once.
-
-    Both dec-min sets are translates of matroid base families by the same
-    canonical translation, so the simultaneous requirement asks for two
-    bases whose incidence vectors sum to a fixed 0/1/2 vector; the
-    free part is a common-basis question answered by matroid intersection.
-    """
-    from .orientation import decmin_orientation, orient_with_indegrees, orientation_canonical
-
-    D = orientation_canonical(G, decmin_orientation(G))
-    handle = BaseHandle(G.induced_oracle())
-    parts = []
-    grounds = []
-    for i in range(D.q):
-        Mi, block = from_decomposition_matroid(D, handle, i)
-        parts.append(Mi)
-        grounds.append(block)
-    mstar = direct_sum_matroid(parts, grounds)
-    rank = mstar.rank()
-    w = G.degrees() - 2 * D.delta_star
-    if np.any(w < 0) or np.any(w > 2):
-        return None
-    forced = frozenset(int(v) for v in np.flatnonzero(w == 2))
-    free = sorted(int(v) for v in np.flatnonzero(w == 1))
-    if len(forced) + len(free) < rank or int(w.sum()) != 2 * rank:
-        return None
-    if not mstar.independent(forced):
-        return None
-    try:
-        contracted, keep = contract_matroid(mstar, forced)
-    except ValueError:
-        return None
-    keep_pos = {v: j for j, v in enumerate(keep)}
-    if any(v not in keep_pos for v in free):
-        return None
-    mfree, back = restrict_matroid(contracted, [keep_pos[v] for v in free])
-    r_free = rank - len(forced)
-    if mfree.rank() != r_free or len(free) != 2 * r_free:
-        return None
-    common = matroid_intersection(mfree, dual_matroid(mfree))
-    if len(common) != r_free:
-        return None
-    chosen = {free[j] for j in common} | forced
-    m_in = D.delta_star.copy()
-    for v in chosen:
-        m_in[v] += 1
-    return orient_with_indegrees(G, m_in)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Graph orientation solvers: prescribed in-degree vectors, dec-min
 orientations (plain, degree-bounded, T-specified, capacitated,
 k-edge-connected), the orientation form of the canonical decomposition,
-and cheapest dec-min bounded orientations.
+cheapest dec-min bounded orientations, and orientations dec-min in both
+degree directions at once.
 
 The in-degree vectors of orientations of G are the integral points of the
 base-polyhedron of the induced-edge-count function.  Every solver here
@@ -21,7 +22,9 @@ its nodes: in-degree-bounded orientations and graph-induced sets (lo = 0,
 a closed-form value) here, semi-matchings and Megiddo flows in
 applications.  Its solvers walk on the residual network of their start flow
 (walk_on), so a solve runs one flow and then one path per step, and with
-costs one more flow over the dec-min set (cheapest_flow).  One reader,
+costs one more flow over the dec-min set (cheapest_flow); an orientation
+dec-min both ways is one flow over the in-degree and the out-degree
+dec-min sets (inout_decmin_orientation).  One reader,
 _flow_realise, the walk on the flow pinning the vector, serves each kind.
 """
 
@@ -48,10 +51,12 @@ from .core import (
 )
 from .canonical import (
     CanonicalDecomposition,
+    NotDecMinError,
+    canonical_from_decmin,
     canonical_from_tight_sets,
     decmin_description,
 )
-from .engine import tightening_pair, tighten
+from .engine import tighten
 from .netflow import Digraph, FlowProblem, FlowResult, arc_disjoint_paths_at_least
 
 
@@ -63,8 +68,7 @@ class InfeasibleOrientationError(RuntimeError):
         self.witness = witness
 
 
-class NotDecMinOrientationError(ValueError):
-    pass
+NotDecMinOrientationError = NotDecMinError
 
 
 def _check_edges(n, edges) -> None:
@@ -596,17 +600,12 @@ def orientation_canonical(
     G: Graph, orient: Orientation, lower=None, upper=None
 ) -> CanonicalDecomposition:
     """Canonical chain/partition/value-sequence read off a dec-min
-    orientation, with smallest tight sets realized as reachability sets
-    (in-degree-zero sets are exactly the tight ones)."""
+    orientation of the in-degree-bounded orientations of G, whose smallest
+    tight sets are reachability sets of one orientation flow; raises
+    NotDecMinOrientationError unless its in-degrees are a dec-min member."""
     lo, hi = _resolve_bounds(G, lower, upper)
-    R, deg = _residual_of(orient)
-    tight = _ResidualWalk(R, deg, lo, hi)
-    deg = np.array(deg, dtype=np.int64)
-    if np.any(deg < lo) or np.any(deg > hi):
-        raise NotDecMinOrientationError("orientation violates the bounds")
-    if tightening_pair(deg, tight) is not None:
-        raise NotDecMinOrientationError("orientation is not dec-min")
-    return canonical_from_tight_sets(deg, tight)
+    oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
+    return canonical_from_decmin(BaseHandle(oracle), orient.indeg)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +639,34 @@ def cheapest_decmin_orientation_bounded(
     oracle, walk = _bounded_walk(G, *_resolve_bounds(G, lower, upper))
     tighten(walk)
     return _oriented(G, cheapest_flow(oracle, walk, cost).flow)
+
+
+# ---------------------------------------------------------------------------
+# orientations dec-min in both in-degrees and out-degrees
+# ---------------------------------------------------------------------------
+
+
+def inout_decmin_orientation(G: Graph) -> Optional[Orientation]:
+    """An orientation whose in-degree vector is dec-min and whose
+    out-degree vector is dec-min too, or None when no orientation achieves
+    both at once.
+
+    Out-degree vectors are the in-degree vectors of the reversed
+    orientations, so both dec-min sets have the one description read off a
+    dec-min orientation (canonical.decmin_description): x is the in-degree
+    vector of an answer iff x and deg - x both keep its small box and its
+    block sums.  That is one orientation flow, with the two boxes
+    intersected, once deg(S_i) is twice the sum on every block S_i."""
+    walk = _bounded_walk(G, *_resolve_bounds(G, None, None))[1]
+    tighten(walk)
+    D = canonical_from_tight_sets(np.array(walk.m, dtype=np.int64), walk)
+    lower, upper, blocks = decmin_description(D)
+    deg = G.degrees()
+    if any(int(deg[nodes].sum()) != 2 * total for nodes, total in blocks):
+        return None
+    lo, hi = np.maximum(lower, deg - upper), np.minimum(upper, deg - lower)
+    res = OrientationOracle(G.n, G.edges, None, lo, hi, blocks=blocks).flow()
+    return _oriented(G, res.flow) if res.feasible else None
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +883,8 @@ def parse_graph(text: str):
         lower = np.full(n, NEG_INF)
         upper = np.full(n, POS_INF)
         for v, (lo, hi) in bounds.items():
+            if not 0 <= v < n:
+                raise ValueError(f"bound line for node {v + 1} outside 1..{n}")
             lower[v] = lo
             upper[v] = hi
     return G, lower, upper

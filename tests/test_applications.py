@@ -387,6 +387,16 @@ class TestMegiddo:
         D = parse_digraph("p digraph 2 1\na 1 2 3\n")
         assert D.cap.tolist() == [3]
 
+    def test_nodes_outside_the_digraph_fail_at_construction(self):
+        # not as a numpy broadcast error inside the first solve
+        D = Digraph(3, [(0, 2), (1, 2)], [1, 1])
+        with pytest.raises(ValueError, match=r"node 3 outside range\(3\)"):
+            MegiddoProblem(D, {0, 1}, {3})
+        with pytest.raises(ValueError, match=r"node -1 outside range\(3\)"):
+            MegiddoProblem(D, {-1}, {2})
+        with pytest.raises(ValueError, match=r"node -1 outside range\(3\)"):
+            parse_megiddo("p digraph 3 2\na 1 3 1\na 2 3 1\nS: 0\nT: 3\n")
+
 
 class TestRootVectors:
     def test_examples(self):

@@ -245,6 +245,26 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, flag, text):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("node", ["0", "-1", "4"])
+def test_orient_rejects_bound_lines_outside_the_nodes(tmp_path, capsys, node):
+    # node 0 would otherwise bound node 3, the last one
+    path = tmp_path / "g.txt"
+    path.write_text(f"p orient 3 2\ne 1 2\ne 2 3\nb {node} 0 0\n")
+    code, out, err = run_cli(["orient", "--graph", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert f"bound line for node {node} outside 1..3" in err
+
+
+@pytest.mark.parametrize("n, message", [(64, "exceeds subset ceiling"), (0, "needs n >= 1")])
+def test_table_size_is_checked_before_the_values_exist(tmp_path, capsys, n, message):
+    # 2^64 values cannot be allocated at all; an error must come first
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n}))
+    code, out, err = run_cli(["decmin", "--table", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "decmin.cli", "bogus-command"],

@@ -21,19 +21,15 @@ from decmin.matroid import (
     MatroidOracle,
     SumOfMatroidsOracle,
     bases_matroid,
-    contract_matroid,
     decmin_basis_sum,
     decmin_partition_intersection,
-    direct_sum_matroid,
     dual_matroid,
     from_decomposition_matroid,
     graphic_matroid,
-    inout_decmin_orientation,
     load_matroid_json,
     matroid_intersection,
     min_cost_basis,
     partition_matroid,
-    restrict_matroid,
     uniform_matroid,
 )
 
@@ -445,53 +441,14 @@ class TestFromDecomposition:
                 assert set(maximal) == seen
 
 
-class TestInOut:
-    def test_examples(self):
-        o = inout_decmin_orientation(util.c4_graph())
-        assert o.indeg.tolist() == [1, 1, 1, 1]
-        o2 = inout_decmin_orientation(util.path_graph())
-        assert o2 is not None
-        assert sorted_dec(o2.indeg) == (1, 1, 0)
-        assert sorted_dec(o2.outdeg) == (1, 1, 0)
-        o3 = inout_decmin_orientation(util.triangle_graph())
-        assert o3.indeg.tolist() == [1, 1, 1]
-
-    def test_matches_brute(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            G = util.random_multigraph(rng, max_nodes=5, max_edges=7)
-            scan = util.orientation_scan(G)
-            in_sel, _ = util.decmin_rows(scan)
-            deg = G.degrees()
-            out_sel, _ = util.decmin_rows(deg[None, :] - scan)
-            exists = bool((in_sel & out_sel).any())
-            got = inout_decmin_orientation(G)
-            assert (got is not None) == exists
-            if got is not None:
-                _, best_in = util.decmin_rows(scan)
-                _, best_out = util.decmin_rows(deg[None, :] - scan)
-                assert sorted_dec(got.indeg) == best_in
-                assert sorted_dec(got.outdeg) == best_out
-
-
 class TestTransforms:
-    def test_dual_restrict_contract(self):
+    def test_dual_and_parallel_copies(self):
         tri = graphic_matroid(3, [(0, 1), (1, 2), (2, 0)])
         dual = dual_matroid(tri)
         assert dual.rank() == 1  # co-rank of a triangle
-        sub, keep = restrict_matroid(tri, [0, 1])
-        assert sub.rank() == 2 and keep == [0, 1]
-        con, keep2 = contract_matroid(tri, {0})
-        assert con.rank() == 1
-        with pytest.raises(ValueError):
-            contract_matroid(bases_matroid(2, [{0}]), {1})
-
-    def test_parallel_and_direct_sum(self):
         u = uniform_matroid(2, 1)
         par = util.parallel_copies_matroid(u, 2)
         assert par.independent({0}) and not par.independent({0, 1})
-        ds = direct_sum_matroid([u, u], [[0, 1], [2, 3]])
-        assert ds.rank() == 2 and ds.independent({0, 2})
 
 
 def test_matroid_json():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from decmin.canonical import (
 )
 import decmin
 from decmin.core import BaseHandle, EmptyBaseError, TableOracle, is_member, sorted_dec, tight_sets
-from decmin.engine import greedy_member, strongly_poly_decmin
+from decmin.engine import greedy_member, is_decmin, strongly_poly_decmin
 from decmin.orientation import (
     Graph,
     GraphInducedOracle,
@@ -26,6 +27,7 @@ from decmin.orientation import (
     decmin_orientation_bounded,
     decmin_orientation_minT,
     decmin_orientation_tspec,
+    inout_decmin_orientation,
     orient_with_indegrees,
     orientation_canonical,
     orientation_cost,
@@ -365,6 +367,51 @@ class TestCheapest:
             got = cheapest_decmin_orientation_bounded(G, None, upper, cost)
             assert sorted_dec(got.indeg) == best
             assert orientation_cost(got, cost) == want
+
+
+class TestInOut:
+    def test_examples(self):
+        o = inout_decmin_orientation(util.c4_graph())
+        assert o.indeg.tolist() == [1, 1, 1, 1]
+        o2 = inout_decmin_orientation(util.path_graph())
+        assert o2 is not None
+        assert sorted_dec(o2.indeg) == (1, 1, 0)
+        assert sorted_dec(o2.outdeg) == (1, 1, 0)
+        o3 = inout_decmin_orientation(util.triangle_graph())
+        assert o3.indeg.tolist() == [1, 1, 1]
+
+    def test_matches_brute(self):
+        rng = np.random.default_rng(29)
+        answered = 0
+        for _ in range(200):
+            G = util.random_multigraph(rng, max_nodes=6, max_edges=10)
+            scan = util.orientation_scan(G)
+            deg = G.degrees()
+            in_sel, best_in = util.decmin_rows(scan)
+            out_sel, best_out = util.decmin_rows(deg[None, :] - scan)
+            got = inout_decmin_orientation(G)
+            assert (got is not None) == bool((in_sel & out_sel).any())
+            if got is not None:
+                answered += 1
+                assert sorted_dec(got.indeg) == best_in
+                assert sorted_dec(got.outdeg) == best_out
+        assert 50 < answered < 150
+
+    def test_six_regular_past_the_subset_ceiling(self):
+        # three random Hamiltonian cycles on 200 nodes: the canonical block
+        # is the whole node set, far past any 2^n table
+        rng = random.Random(11)
+        n = 200
+        edges = []
+        for _ in range(3):
+            order = list(range(n))
+            rng.shuffle(order)
+            edges += [(order[i - 1], order[i]) for i in range(n)]
+        G = Graph(n, edges)
+        o = inout_decmin_orientation(G)
+        handle = BaseHandle(G.induced_oracle())
+        assert is_decmin(handle, o.indeg)[0] and is_decmin(handle, o.outdeg)[0]
+        assert o.indeg.tolist() == o.outdeg.tolist() == [3] * n
 
 
 class TestMinT:
