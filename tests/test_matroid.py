@@ -442,13 +442,26 @@ class TestFromDecomposition:
 
 
 class TestTransforms:
-    def test_dual_and_parallel_copies(self):
+    def test_dual_restrict_contract(self):
         tri = graphic_matroid(3, [(0, 1), (1, 2), (2, 0)])
         dual = dual_matroid(tri)
         assert dual.rank() == 1  # co-rank of a triangle
+        assert dual.independent({0}) and not dual.independent({0, 1})
+        # restriction to {0, 1} and contraction of {0}, by their rank formulas
+        assert tri.rank({0, 1}) == 2
+        assert tri.rank() - tri.rank({0}) == 1
+        # element 1 is a loop of this bases matroid: contracting it adds nothing
+        loopy = bases_matroid(2, [{0}])
+        assert loopy.rank({1}) == 0 and loopy.rank() - loopy.rank({1}) == 1
+
+    def test_parallel_and_direct_sum(self):
         u = uniform_matroid(2, 1)
         par = util.parallel_copies_matroid(u, 2)
         assert par.independent({0}) and not par.independent({0, 1})
+        # a partition matroid is the direct sum of uniform matroids
+        ds = partition_matroid(4, [[0, 1], [2, 3]], [1, 1])
+        assert ds.rank() == 2 and ds.independent({0, 2})
+        assert not ds.independent({0, 1})
 
 
 def test_matroid_json():
