@@ -59,7 +59,9 @@ print("a larger dual fails:", verify_dual_optimal(D, B, D.pi_star + 2))
 print()
 
 # block matroids: which r_i-subsets of a block may carry the top value
-# beta_i in a dec-min element (here the single 2-subset of S_1)
+# beta_i in a dec-min element (here the single 2-subset of S_1).  They are
+# the bases of M_i; matroid.from_decomposition_matroid reads M_i off the
+# smallest tight sets: L - y + x is a basis iff x lies in T_m(y)
 import itertools
 
 for i in range(D.q):
@@ -72,7 +74,8 @@ for i in range(D.q):
     print(f"block S_{i + 1} = {block}, r = {D.counts[i]}, bases of M_{i + 1}:",
           accepted)
 
-# cheapest dec-min element under a linear cost
+# cheapest dec-min element under a linear cost: a greedy min-cost basis
+# of each block matroid, swapped in along one walk from the dec-min element
 cost = [5, 1, 1, 1]
 cheapest = cheapest_decmin(B, cost)
 print("cheapest dec-min element for cost", cost, "->", cheapest,

@@ -1,7 +1,8 @@
 """Canonical chain/partition and essential value-sequence of an M-convex
-set, the matroidal description of its dec-min elements, cheapest dec-min
-elements, and the square-sum duality layer (linear extension, min-max
-certificate, optimal dual vectors).
+set, the block matroids of its dec-min elements (exchanges read off
+smallest tight sets), cheapest dec-min elements as one greedy walk, and
+the square-sum duality layer (linear extension, min-max certificate,
+optimal dual vectors).
 """
 
 from __future__ import annotations
@@ -128,10 +129,16 @@ class CanonicalDecomposition:
 def _value_fixed(m, tight, si, beta) -> frozenset:
     """F_i: the elements s of S_i with m(s) = beta_i whose smallest tight
     set meets S_i only in beta_i-valued elements.  T_m(s) n S_i is the
-    smallest X in S_i with beta_i |X| = p_i(X) that contains s, if any."""
-    return frozenset(
-        s for s in si if m[s] == beta and all(m[v] == beta for v in tight(s) & si)
-    )
+    smallest X in S_i with beta_i |X| = p_i(X) that contains s, if any.
+    An s inside T_m(w) of a w already in F_i is in F_i, as T_m(s) lies
+    within T_m(w), and is not read."""
+    fixed = set()
+    for s in si:
+        if s not in fixed and m[s] == beta:
+            ts = tight(s) & si
+            if all(m[v] == beta for v in ts):
+                fixed |= ts
+    return frozenset(fixed)
 
 
 def value_fixed_set(D: CanonicalDecomposition, B: BaseHandle, i: int) -> frozenset:
@@ -339,40 +346,49 @@ def verify_dual_optimal(D: CanonicalDecomposition, B: BaseHandle, pi) -> bool:
     return True
 
 
-def cheapest_decmin(B: BaseHandle, cost, D: Optional[CanonicalDecomposition] = None):
-    """A dec-min element minimizing the linear cost sum c(s) m(s).
+def swap_partner(walk, x: int, ys):
+    """The first y of ys with x in T_m(y), i.e. with m + chi_x - chi_y in
+    the set, at the walk's m; None when there is none.  A y inside a
+    T_m(y') read without x is skipped: T_m(y) lies within T_m(y')."""
+    missed: set = set()
+    for y in ys:
+        if y not in missed:
+            got = walk(y)
+            if x in got:
+                return y
+            missed |= got
+    return None
 
-    Equivalent to a minimum-cost basis of the direct sum of the block
-    matroids; solved by local basis exchanges inside each block (single
-    swaps certify optimality in a matroid)."""
+
+def cheapest_decmin(B: BaseHandle, cost, D: Optional[CanonicalDecomposition] = None):
+    """A dec-min element minimizing sum c(s) m(s), one cost per element
+    (else ValueError): a greedy min-cost basis of each block matroid M_i
+    on one walk from D's dec-min element.  The elements of S_i go by cost,
+    ties to the beta_i-valued ones in D's element, then to smaller index;
+    x is kept iff it is beta_i-valued or swaps in for a beta_i-valued y not
+    kept (swap_partner, latest y in that order first), until r_i are kept.
+    Of equal-cost answers this is the greedy basis of that order, so D's
+    element comes back unchanged when it is cheapest already."""
     cost = np.asarray(list(cost), dtype=np.float64)
+    if cost.shape != (B.n,):
+        raise ValueError(f"one cost per element required: {B.n} elements, {cost.size} costs")
     if D is None:
-        m = strongly_poly_decmin(B)
-        D = canonical_from_decmin(B, m, check=False)
-    out = D.decmin_element().copy()
-    for i in range(D.q):
-        block = sorted(D.partition[i])
-        beta = D.betas[i]
-        basis = {v for v in block if out[v] == beta}
-        # one swap per pass, strictly decreasing cost: never revisits a
-        # basis, so the basis count bounds the pass count
-        for _ in range(math.comb(len(block), len(basis)) + 1):
-            best = None
-            for u in sorted(basis):
-                for v in block:
-                    if v in basis or cost[v] >= cost[u]:
-                        continue
-                    cand = (basis - {u}) | {v}
-                    if matroid_Mi_base_test(D, B, i, cand):
-                        saving = cost[u] - cost[v]
-                        if best is None or saving > best[0]:
-                            best = (saving, u, v)
-            if best is None:
+        D = canonical_from_decmin(B, strongly_poly_decmin(B), check=False)
+    m, walk = D.decmin_element(), None
+    for si, beta, r in zip(D.partition, D.betas, D.counts):
+        order = sorted(si, key=lambda v: (cost[v], m[v] != beta, v))
+        kept = set()
+        for x in order:
+            if len(kept) == r:
                 break
-            basis.discard(best[1])
-            basis.add(best[2])
-        else:
-            raise RuntimeError("basis local search failed to terminate")
-        for v in block:
-            out[v] = beta if v in basis else beta - 1
-    return out
+            if m[x] != beta:
+                if walk is None:
+                    walk = member_tight_sets(B, m)
+                    m = walk.m
+                free = (y for y in reversed(order) if m[y] == beta and y not in kept)
+                y = swap_partner(walk, x, free)
+                if y is None:
+                    continue
+                walk.step(x, y)
+            kept.add(x)
+    return np.array(m, dtype=np.int64)

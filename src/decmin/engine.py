@@ -192,22 +192,7 @@ class NDTrace:
         return len(self.mus) - 1
 
 
-def _default_argmax(p: SetFunctionOracle, b: SetFunctionOracle):
-    ptab = p.table()
-    btab = b.table()
-
-    def argmax(mu: int) -> int:
-        vals = ptab - mu * btab
-        return int(np.argmax(vals))
-
-    return argmax
-
-
-def newton_dinkelbach(
-    p: SetFunctionOracle,
-    b: SetFunctionOracle,
-    argmax_oracle: Optional[Callable[[int], int]] = None,
-) -> NDTrace:
+def newton_dinkelbach(p: SetFunctionOracle, b: SetFunctionOracle) -> NDTrace:
     """Smallest integer mu with mu*b(X) >= p(X) for all X, i.e.
     max ceil(p(X)/b(X)) over b(X) > 0.
 
@@ -216,11 +201,10 @@ def newton_dinkelbach(
     The ascent from any bad start strictly increases mu while b of the
     witness strictly decreases, so it ends within max(b) iterations.
     """
-    if argmax_oracle is None:
-        argmax_oracle = _default_argmax(p, b)
+    ptab, btab = p.table(), b.table()
 
     def best(mu):
-        x = argmax_oracle(mu)
+        x = int(np.argmax(ptab - mu * btab))
         px, bx = p.value(x), b.value(x)
         gap = NEG_INF if px == NEG_INF else px - mu * bx
         return x, px, bx, gap

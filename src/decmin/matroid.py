@@ -1,6 +1,6 @@
 """Matroid oracles, Edmonds' matroid intersection, greedy bases, the block
-matroids of a canonical decomposition, dec-min sums of matroid bases and
-dec-min partition-intersection vectors.
+matroids of a canonical decomposition (exchanges along a walk, no subset
+table), dec-min sums of bases and dec-min partition-intersection vectors.
 
 The orientation that is dec-min in both degree directions at once is one
 orientation flow over two dec-min descriptions
@@ -24,13 +24,13 @@ from .core import (
     SetFunctionOracle,
     Walk,
     box_walk,
-    effective_oracle,
     mask_of,
+    member_tight_sets,
     register_membership,
     register_reader,
     text_parser,
 )
-from .canonical import CanonicalDecomposition
+from .canonical import CanonicalDecomposition, swap_partner
 from .engine import basic_decmin, tighten
 
 
@@ -137,55 +137,39 @@ def dual_matroid(M: MatroidOracle) -> MatroidOracle:
     return MatroidOracle(M.n, indep, f"dual({M.name})")
 
 
-def _contracted_value(eff: SetFunctionOracle, witness, prev_mask: int, xmask: int):
-    """p_i(X) = p(X u C_{i-1}) - p(C_{i-1}); the tight prefix value is read
-    off the witness instead of a second oracle call."""
-    base = int(sum(witness[v] for v in range(eff.n) if prev_mask >> v & 1))
-    v = eff.value(xmask | prev_mask)
-    if v == NEG_INF:
-        return NEG_INF
-    return v - base
-
-
 def from_decomposition_matroid(
     D: CanonicalDecomposition, B: BaseHandle, i: int
 ) -> tuple:
     """The block matroid M_i of a canonical decomposition, as an
     independence oracle; returns (matroid, sorted block elements).
 
-    Built through the dual: complements of bases of M_i are exactly the
-    maximum sets packed under the submodular budget
-    b*(X) = beta_i |X| - p_i(X), so independence reduces to a dual rank
-    query."""
-    eff = effective_oracle(B)
-    witness = D.decmin_element()
+    Its bases are the beta_i-valued parts L on S_i of dec-min elements m,
+    and L - y + x is a basis iff x is in T_m(y).  So X of at most r_i
+    elements is independent iff, on a fresh walk from D's element, each x
+    of X outside L swaps in for a y of the current basis outside X
+    (canonical.swap_partner); if no y does, x's circuit lies in X."""
+    start = D.decmin_element()
     block = sorted(D.partition[i])
-    kk = len(block)
-    beta = D.betas[i]
-    prev_mask = mask_of(D.chain[i - 1]) if i > 0 else 0
-    bstar = np.zeros(1 << kk, dtype=np.float64)
-    for sub in range(1, 1 << kk):
-        xmask = mask_of(block[j] for j in range(kk) if sub >> j & 1)
-        size = bin(sub).count("1")
-        pv = _contracted_value(eff, witness, prev_mask, xmask)
-        bstar[sub] = np.inf if pv == -np.inf else beta * size - pv
-    masks = np.arange(1 << kk, dtype=np.int64)
-    pc = np.array([bin(m).count("1") for m in range(1 << kk)])
-
-    def dual_indep(W):
-        wmask = 0
-        for j in W:
-            wmask |= 1 << j
-        return bool(np.all(pc[masks & wmask] <= bstar))
-
-    dual = MatroidOracle(kk, dual_indep, f"M{i}-dual")
-    dual_rank = dual.rank()
+    beta, r = D.betas[i], D.counts[i]
 
     def indep(X):
-        rest = set(range(kk)) - set(X)
-        return dual.rank(rest) == dual_rank
+        X = {block[j] for j in X}
+        if len(X) > r:
+            return False
+        outside = [x for x in X if start[x] != beta]
+        if not outside:
+            return True
+        walk = member_tight_sets(B, start)
+        m = walk.m
+        for j, x in enumerate(outside):
+            y = swap_partner(walk, x, (y for y in block if m[y] == beta and y not in X))
+            if y is None:
+                return False
+            if j + 1 < len(outside):  # the last swap need not be made
+                walk.step(x, y)
+        return True
 
-    return MatroidOracle(kk, indep, f"M{i}"), block
+    return MatroidOracle(len(block), indep, f"M{i}"), block
 
 
 # ---------------------------------------------------------------------------

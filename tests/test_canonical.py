@@ -6,6 +6,7 @@ import pytest
 from decmin.canonical import (
     CanonicalDecomposition,
     NotDecMinError,
+    _value_fixed,
     canonical_from_decmin,
     cheapest_decmin,
     decmin_set_membership,
@@ -22,9 +23,20 @@ from decmin.core import (
     enumerate_integral_points,
     iter_masks,
     mask_of,
+    member_tight_sets,
+    value_equivalent,
 )
 from decmin.engine import strongly_poly_decmin
-from decmin.orientation import GraphInducedOracle
+from decmin.orientation import (
+    Graph,
+    GraphInducedOracle,
+    OrientationOracle,
+    cheapest_decmin_orientation_bounded,
+    decmin_orientation,
+    decmin_orientation_bounded,
+    orientation_canonical,
+    orientation_cost,
+)
 
 import util
 
@@ -215,6 +227,41 @@ class TestValueFixed:
                 )
                 assert D.value_fixed[i] == expected
 
+    def test_skips_elements_inside_a_fixed_set(self):
+        # K5 planted in a random connected graph on 24 nodes: F_i is a
+        # proper non-empty part of a 21-node block.  It equals the set read
+        # element by element, and no element inside T_m(w) of an element w
+        # already found fixed is read
+        rng = np.random.default_rng(4)
+        n = 24
+        edges = list(itertools.combinations(range(5), 2))
+        edges += [(v, int(rng.integers(0, v))) for v in range(5, n)]
+        for _ in range(int(rng.integers(8, 16))):
+            u, v = rng.choice(n, size=2, replace=False)
+            edges.append((int(u), int(v)))
+        G = Graph(n, edges)
+        m = decmin_orientation(G).indeg
+        B = BaseHandle(G.induced_oracle())
+        walk = member_tight_sets(B, m)
+        D = canonical_from_decmin(B, m)
+        skipped = 0
+        for si, beta, fi in zip(D.partition, D.betas, D.value_fixed):
+            reads = []
+
+            def tight(t):
+                reads.append(t)
+                return walk(t)
+
+            each = frozenset(
+                s for s in si if m[s] == beta and all(m[v] == beta for v in walk(s) & si)
+            )
+            assert _value_fixed(m, tight, si, beta) == fi == each
+            for j, s in enumerate(reads):
+                assert not any(s in walk(w) and w in fi for w in reads[:j])
+            skipped += sum(1 for s in si if m[s] == beta) - len(reads)
+        assert 0 < max(map(len, D.value_fixed)) < max(map(len, D.partition))
+        assert skipped > 0
+
 
 class TestLinearExtension:
     def test_examples(self):
@@ -345,6 +392,36 @@ class TestCheapest:
                 canonical_from_decmin(handle, got, check=False), handle, got
             )
             assert int(np.dot(got, cost)) == want
+
+    def test_one_cost_per_element(self):
+        i1 = util.i1_handle()
+        for cost in ([5], [0, 1, 7], [[0, 1], [1, 0]]):
+            with pytest.raises(ValueError, match="one cost per element"):
+                cheapest_decmin(i1, cost)
+
+    def test_orientation_handles_match_the_flow_route(self):
+        # per-node prices c on an in-degree-bounded orientation handle with
+        # its decomposition given, against the min-cost flow over the
+        # dec-min set pricing each edge (c[u], c[v]) by the node it heads at
+        rng = np.random.default_rng(61)
+        done = 0
+        while done < 100:
+            G = util.random_multigraph(rng, max_nodes=60, max_edges=150, min_nodes=3)
+            deg = G.degrees()
+            lo, hi = rng.integers(0, 2, size=G.n), deg - rng.integers(0, 2, size=G.n)
+            oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
+            if not oracle.flow().feasible:
+                continue
+            done += 1
+            D = orientation_canonical(G, decmin_orientation_bounded(G, lo, hi), lo, hi)
+            handle = BaseHandle(oracle)
+            c = rng.integers(-5, 6, size=G.n)
+            got = cheapest_decmin(handle, c, D)
+            pairs = [(int(c[u]), int(c[v])) for u, v in G.edges]
+            want = cheapest_decmin_orientation_bounded(G, lo, hi, pairs)
+            assert int(c @ got) == orientation_cost(want, pairs)
+            assert value_equivalent(got, want.indeg)
+            assert decmin_set_membership(D, handle, got)
 
 
 def test_serialization_roundtrip():

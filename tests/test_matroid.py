@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from decmin import matroid
-from decmin.canonical import canonical_from_decmin
+from decmin.applications import SemiMatchingOracle, SemiMatchingProblem
+from decmin.canonical import canonical_from_decmin, decmin_set_membership
 from decmin.core import (
     BaseHandle,
     EmptyBaseError,
     SetFunctionOracle,
     TableOracle,
+    enumerate_integral_points,
     exchange_feasible,
     is_member,
     mask_of,
@@ -17,6 +19,7 @@ from decmin.core import (
     sorted_dec,
     value_equivalent,
 )
+from decmin.engine import basic_decmin
 from decmin.matroid import (
     MatroidOracle,
     SumOfMatroidsOracle,
@@ -31,6 +34,12 @@ from decmin.matroid import (
     min_cost_basis,
     partition_matroid,
     uniform_matroid,
+)
+from decmin.orientation import (
+    Graph,
+    OrientationOracle,
+    decmin_orientation,
+    orientation_canonical,
 )
 
 import util
@@ -413,14 +422,45 @@ class TestPartitionIntersection:
             assert M.independent(basis) and len(basis) == r
 
 
+def _small_oracles(kind, rng):
+    """Twenty oracles of one reader kind on at most 6 elements (nodes of
+    an in-degree-bounded orientation, left nodes of a semi-matching with
+    exact right degrees or a fixed edge count, or elements of a sum of one
+    to three matroids)."""
+    made = 0
+    while made < 20:
+        if kind == "explicit-table":
+            oracle = util.random_supermodular_table(rng, int(rng.integers(2, 6)))
+        elif kind == "orientation":
+            G = util.random_multigraph(rng, max_nodes=6, max_edges=11)
+            deg = G.degrees()
+            lo, hi = rng.integers(0, 2, size=G.n), deg - rng.integers(0, 2, size=G.n)
+            oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
+        elif kind == "semimatching":
+            nl, nr, edges = util.random_bipartite(rng, 6, 4, 12)
+            kw = [dict(t_degrees=rng.integers(0, 3, size=nr)),
+                  dict(lower_right=np.zeros(nr, np.int64),
+                       upper_right=rng.integers(1, 4, size=nr),
+                       gamma=int(rng.integers(1, 7)))][made % 2]
+            oracle = SemiMatchingOracle(SemiMatchingProblem(nl, nr, edges, **kw))
+        else:
+            n = int(rng.integers(2, 7))
+            kinds = ["graphic", "uniform", "partition", "explicit-bases", "dual"]
+            oracle = SumOfMatroidsOracle(
+                [util.random_matroid(rng, n, kinds[int(rng.integers(0, 5))])
+                 for _ in range(int(rng.integers(1, 4)))]
+            )
+        if not isinstance(oracle, OrientationOracle) or oracle.flow().feasible:
+            made += 1
+            yield oracle
+
+
 class TestFromDecomposition:
     def test_exchange_axiom_sampled(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             oracle = util.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            from decmin.core import enumerate_integral_points
-
             pts = enumerate_integral_points(handle).points
             sel, _ = util.decmin_rows(pts)
             D = canonical_from_decmin(handle, pts[sel][0])
@@ -439,6 +479,63 @@ class TestFromDecomposition:
                     for m in pts[sel]
                 }
                 assert set(maximal) == seen
+
+    @pytest.mark.parametrize(
+        "kind", ["explicit-table", "orientation", "semimatching", "matroid-sum"]
+    )
+    def test_independence_matches_brute_levels(self, kind):
+        # read through each kind's own walk, a subset of a block is
+        # independent in M_i iff it lies inside the beta_i-valued part of
+        # some dec-min element, all of them found by enumerating a table
+        # of the same values
+        rng = np.random.default_rng(31)
+        subsets = dependent = 0
+        for oracle in _small_oracles(kind, rng):
+            handle = BaseHandle(oracle)
+            table = TableOracle([oracle.value(x) for x in range(1 << oracle.n)])
+            pts = enumerate_integral_points(BaseHandle(table)).points
+            sel, _ = util.decmin_rows(pts)
+            D = canonical_from_decmin(handle, basic_decmin(handle))
+            for i in range(D.q):
+                Mi, block = from_decomposition_matroid(D, handle, i)
+                levels = {
+                    frozenset(j for j, v in enumerate(block) if m[v] == D.betas[i])
+                    for m in pts[sel]
+                }
+                for r in range(len(block) + 1):
+                    for X in itertools.combinations(range(len(block)), r):
+                        want = any(L.issuperset(X) for L in levels)
+                        assert Mi.independent(X) == want
+                        subsets += 1
+                        dependent += not want
+        assert subsets >= 150 and dependent >= 20
+
+    def test_block_past_64_nodes(self):
+        # a 70-node block: a Hamiltonian cycle, a perfect matching and ten
+        # chords orient with in-degrees 1 and 2 in one block; its matroid
+        # builds without a table over the subsets of the block, its rank
+        # is r_1 and a greedy basis is the top-valued part of a dec-min
+        # element
+        rng = np.random.default_rng(5)
+        n = 70
+        order = rng.permutation(n).tolist()
+        edges = [(order[j - 1], order[j]) for j in range(n)]
+        pairs = rng.permutation(n).tolist()
+        edges += [(pairs[j], pairs[j + 1]) for j in range(0, n, 2)]
+        edges += [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                  for _ in range(10)]
+        G = Graph(n, edges)
+        D = orientation_canonical(G, decmin_orientation(G))
+        handle = BaseHandle(OrientationOracle(n, G.edges, None, np.zeros(n, np.int64), G.degrees()))
+        assert D.q == 1 and D.betas == [2] and D.counts == [len(edges) - n]
+        Mi, block = from_decomposition_matroid(D, handle, 0)
+        assert len(block) == n
+        assert Mi.rank() == D.counts[0]
+        cost = rng.permutation(n)
+        basis = min_cost_basis(Mi, cost)
+        m = D.delta_star.copy()
+        m[[block[j] for j in basis]] += 1
+        assert decmin_set_membership(D, handle, m)
 
 
 class TestTransforms:
