@@ -26,7 +26,8 @@ the objective nodes pinned (orientation.walk_on), one path per step, and
 the final flow is read off that network, or with costs is one cheapest
 flow over the dec-min set (orientation.cheapest_flow).
 
-Root-vectors register an exact membership test (core.register_membership).
+Root-vectors have a fully supermodular oracle whose values and tight sets
+are max flows from a super-root (RootVectorOracle, _root_tight).
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import netflow
 from .core import (
     BaseHandle,
-    EmptyBaseError,
-    RootVectorOracle,
+    SetFunctionOracle,
+    _rereading,
     as_intvec,
-    register_membership,
     register_reader,
     text_parser,
 )
@@ -338,28 +338,68 @@ def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
 # ---------------------------------------------------------------------------
 
 
-def _root_membership(B: BaseHandle, m) -> bool:
+class RootVectorOracle(SetFunctionOracle):
+    """p(X), the fewest roots X holds over the packings of k arc-disjoint
+    spanning arborescences (arcs at capacity 1).  By Edmonds' branching
+    theorem, c(u) roots at each u fit one iff a super-root feeding each u
+    with c(u) sends k units into every node.  From k at every node, p(X)
+    lowers each v of X in turn to k - f_v, f_v the flow into v while the
+    super-root feeds the other nodes.  p is fully supermodular with
+    p({v}) >= 0; the root vectors are B'(p) if p(S) = k, else none exist."""
+
+    kind = "root-vector"
+
+    def __init__(self, n_nodes: int, arcs: Sequence, k: int):
+        super().__init__(n_nodes)
+        self.arcs = [(int(u), int(v)) for (u, v) in arcs]
+        self.k = int(k)
+        self._reversed = [(v, u) for u, v in self.arcs] + [(u, n_nodes) for u in range(n_nodes)]
+        self._memo: dict = {}
+
+    def flow_into(self, v: int, c):
+        """(value, residual network) of a max flow into v, stopped at k,
+        from a super-root feeding each u with c(u); it runs on the reversed
+        network, so R.reach(v) marks the nodes that reach v."""
+        caps = [1] * len(self.arcs) + list(c)
+        return netflow._max_flow(self._n + 1, self._reversed, caps, v, self._n, self.k)
+
+    def value(self, mask: int):
+        if mask not in self._memo:
+            c = [self.k] * self._n
+            nodes = [v for v in range(self._n) if mask >> v & 1]
+            for v in nodes:
+                c[v] = 0
+                c[v] = self.k - self.flow_into(v, c)[0]
+            self._memo[mask] = sum(c[v] for v in nodes)
+        return self._memo[mask]
+
+
+def _root_tight(B: BaseHandle, m):
+    """tight(t) of m, or None unless m >= 0, m(S) = k and every node takes
+    k units from a super-root feeding each u with m(u).  T_m(t) is {t} when
+    m(t) = 0, else the nodes that reach t in the residual network of the
+    flow into t: the least cut of value k that holds t."""
     p: RootVectorOracle = B.oracle
-    if int(m.sum()) != p.k:
-        return False
-    # min over X containing v of m~(X) + rho(X) must reach k everywhere:
-    # a max flow into each v from a source sigma = n feeding u with
-    # m(u) > 0, and from each u with m(u) < 0 straight into v (cut when u
-    # is outside X), must reach k plus the negative part of m
-    n = p.n
-    neg = [(u, -c) for u, c in enumerate(m.tolist()) if c < 0]
-    need = p.k + sum(c for _, c in neg)
-    arcs = list(p.arcs) + [(n, u) for u in range(n)]
-    caps = [1] * len(p.arcs) + np.maximum(m, 0).tolist()
-    return all(
-        netflow._max_flow(
-            n + 1, arcs + [(u, v) for u, _ in neg], caps + [c for _, c in neg], n, v, need
-        )[0] >= need
-        for v in range(n)
-    )
+    c = m.tolist()
+    if min(c) < 0 or sum(c) != p.k:
+        return None
+    flows = []
+    for v in range(p.n):
+        value, R = p.flow_into(v, c)
+        if value < p.k:
+            return None
+        flows.append(R)
+
+    def tight(t: int) -> frozenset:
+        if c[t] == 0:
+            return frozenset({t})
+        seen = flows[t].reach(t)
+        return frozenset(u for u in range(p.n) if seen[u])
+
+    return tight
 
 
-register_membership("root-vector", _root_membership)
+register_reader(RootVectorOracle.kind, _rereading(_root_tight))
 
 
 def decmin_root_vector(D: Digraph, k: int) -> np.ndarray:
@@ -368,18 +408,11 @@ def decmin_root_vector(D: Digraph, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be positive")
     oracle = RootVectorOracle(D.n, D.arcs, k)
-    handle = BaseHandle(
-        oracle,
-        modularity="intersecting",
-        lower=np.zeros(D.n),
-        upper=np.full(D.n, float(k)),
-    )
-    try:
-        return basic_decmin(handle)
-    except EmptyBaseError as exc:
+    if oracle.value(oracle.full_mask) != k:
         raise InfeasibleProblemError(
             f"no packing of {k} arc-disjoint spanning arborescences"
-        ) from exc
+        )
+    return basic_decmin(BaseHandle(oracle))
 
 
 # ---------------------------------------------------------------------------

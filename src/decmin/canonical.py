@@ -26,7 +26,7 @@ from .core import (
     member_tight_sets,
     tight_sets,
 )
-from .engine import strongly_poly_decmin, tight_union, tightening_pair
+from .engine import _initial_walk, tight_union, tighten, tightening_pair
 
 
 class NotDecMinError(ValueError):
@@ -368,13 +368,19 @@ def cheapest_decmin(B: BaseHandle, cost, D: Optional[CanonicalDecomposition] = N
     x is kept iff it is beta_i-valued or swaps in for a beta_i-valued y not
     kept (swap_partner, latest y in that order first), until r_i are kept.
     Of equal-cost answers this is the greedy basis of that order, so D's
-    element comes back unchanged when it is cheapest already."""
+    element comes back unchanged when it is cheapest already.  Without D
+    the walk is the basic algorithm's from initial_member's start, and D
+    is read off the dec-min element it ends at."""
     cost = np.asarray(list(cost), dtype=np.float64)
     if cost.shape != (B.n,):
         raise ValueError(f"one cost per element required: {B.n} elements, {cost.size} costs")
     if D is None:
-        D = canonical_from_decmin(B, strongly_poly_decmin(B), check=False)
-    m, walk = D.decmin_element(), None
+        walk = _initial_walk(B)
+        tighten(walk)
+        m = walk.m
+        D = canonical_from_tight_sets(np.array(m, dtype=np.int64), walk)
+    else:
+        m, walk = D.decmin_element(), None
     for si, beta, r in zip(D.partition, D.betas, D.counts):
         order = sorted(si, key=lambda v: (cost[v], m[v] != beta, v))
         kept = set()

@@ -1,15 +1,19 @@
 """Ground sets, integer vectors, decreasing/increasing orders, set-function
 oracles and base-polyhedron primitives.
 
-A base-polyhedron is presented here by an integer-valued supermodular
-set-function p with p(empty) = 0 and p(full ground set) finite:
+A base-polyhedron is presented here by an integer-valued, fully
+supermodular set-function p with p(empty) = 0 and p(full ground set)
+finite:
 
     B'(p) = {x : x~(S) = p(S), x~(Z) >= p(Z) for every Z},
 
 optionally intersected with an integral box f <= x <= g.  The integral
 points of B'(p) form the discrete sets all solvers in this package work
-on.  Everything in this module is exact integer arithmetic; minus
-infinity is represented by ``float("-inf")`` and saturates.
+on.  A BaseHandle means the same set to every routine: a set first
+described by an intersecting or crossing supermodular function comes
+with its fully supermodular one (root vectors in applications do so).
+Everything in this module is exact integer arithmetic; minus infinity is
+represented by ``float("-inf")`` and saturates.
 
 A derived set function (contraction, restriction, shift, complement and
 the box's p_box) is again a TableOracle, built by numpy from the 2^n table
@@ -270,27 +274,6 @@ class TableOracle(SetFunctionOracle):
         return super().table()
 
 
-class RootVectorOracle(SetFunctionOracle):
-    """p(X) = k - rho_D(X) for nonempty X (intersecting supermodular);
-    integral points of B'(p) in the nonnegative orthant are exactly the
-    root-vectors of packings of k arc-disjoint spanning arborescences."""
-
-    kind = "root-vector"
-
-    def __init__(self, n_nodes: int, arcs: Sequence, k: int):
-        super().__init__(n_nodes)
-        self.arcs = [(int(u), int(v)) for (u, v) in arcs]
-        self.k = int(k)
-
-    def value(self, mask: int):
-        if mask == 0:
-            return 0
-        indeg = sum(
-            1 for u, v in self.arcs if (mask >> v & 1) and not (mask >> u & 1)
-        )
-        return self.k - indeg
-
-
 # ---------------------------------------------------------------------------
 # derived set functions: each is a table gathered from its inner function's
 # ---------------------------------------------------------------------------
@@ -367,17 +350,14 @@ def shift(p: SetFunctionOracle, w) -> TableOracle:
 
 @dataclass
 class BaseHandle:
-    """An M-convex set: supermodular oracle, modularity flag and an
-    optional integral box f <= x <= g."""
+    """An M-convex set: a fully supermodular oracle and an optional
+    integral box f <= x <= g."""
 
     oracle: SetFunctionOracle
-    modularity: str = "full"
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.modularity not in ("full", "intersecting", "crossing"):
-            raise ValueError("modularity must be full/intersecting/crossing")
         n = self.oracle.n
         if self.lower is not None:
             self.lower = np.asarray(self.lower, dtype=np.float64)
@@ -479,19 +459,22 @@ class Walk:
 
 class _Rereading(Walk):
     """The walk of a reader that holds no realisation: read(B, m) gives
-    tight(t) or None, and each step moves one unit and reads again."""
+    tight(t) or None, and each step moves one unit; the new vector is read
+    on the next tight-set call, so a last step costs no read."""
 
     def __init__(self, read, B: BaseHandle, m, tight):
         self.m = m
         self._read, self._B, self._tight = read, B, tight
 
     def __call__(self, t: int) -> frozenset:
+        if self._tight is None:
+            self._tight = self._read(self._B, self.m)
         return self._tight(t)
 
     def step(self, s: int, t: int, limit: int = 1) -> int:
         self.m[s] += 1
         self.m[t] -= 1
-        self._tight = self._read(self._B, self.m)
+        self._tight = None
         return 1
 
 
@@ -580,8 +563,9 @@ def _exchange_tight(member, B: BaseHandle, m, t: int) -> frozenset:
 
 def register_membership(kind: str, member) -> None:
     """A reader from an exact membership test member(B, m) of the unboxed
-    set: the table scan up to the subset ceiling, one membership query per
-    element of each tight set beyond it."""
+    set, for a kind with no reading of its own (matroid aggregates): the
+    table scan up to the subset ceiling, one membership query per element
+    of each tight set beyond it."""
 
     def tight(B: BaseHandle, m):
         if B.n <= subset_ceiling():

@@ -3,6 +3,9 @@ the Newton-Dinkelbach routine for the largest essential value, and the
 strongly polynomial peak-set recursion, plus local/global optimality tests
 and the uniformity measures (square-sum, difference-sum, k-largest-sums).
 
+Every routine reads the handle's p as fully supermodular: a start is
+Edmonds' greedy member, and so is a beta-covered member, in the box x <= beta.
+
 The basic algorithm is one loop, tighten, over a core.Walk: the member
 moves in place, one step per 1-tightening pair, and the walk answers the
 next tight sets.  A flow-backed walk pushes each step along a path of its
@@ -32,9 +35,9 @@ from .core import (
     SetFunctionOracle,
     Walk,
     as_intvec,
+    _boxed_table,
     contract,
     effective_oracle,
-    enumerate_integral_points,
     member_tight_sets,
     popcounts,
     tight_sets,
@@ -72,28 +75,19 @@ def greedy_member(B: BaseHandle, order=None) -> np.ndarray:
 
 def _initial_walk(B: BaseHandle) -> Walk:
     """A walk at some integral element of the set (see initial_member)."""
-    if B.modularity == "full":
-        walk = tight_sets(B, greedy_member(B))
-        if walk is None:
-            raise EmptyBaseError(
-                "greedy member infeasible (empty box intersection, or the "
-                "oracle is not fully supermodular)"
-            )
-        return walk
-    pts = enumerate_integral_points(B)
-    if len(pts) == 0:
-        raise EmptyBaseError("base-polyhedron is empty")
-    return member_tight_sets(B, pts.points[0])
+    walk = tight_sets(B, greedy_member(B))
+    if walk is None:
+        raise EmptyBaseError(
+            "greedy member infeasible (empty box intersection, or the "
+            "oracle is not fully supermodular)"
+        )
+    return walk
 
 
 def initial_member(B: BaseHandle) -> np.ndarray:
-    """Some integral element of the set.
-
-    Fully supermodular oracles go through the greedy, whose reader is the
-    membership test; intersecting/crossing ones fall back, at desk scale,
-    to an exhaustive scan.  An empty crossing base-polyhedron surfaces as
-    EmptyBaseError.
-    """
+    """Some integral element of the set: Edmonds' greedy member, which the
+    kind's reader tests for membership.  A table that is not fully
+    supermodular fails that test and raises EmptyBaseError."""
     return np.array(_initial_walk(B).m, dtype=np.int64)
 
 
@@ -275,34 +269,15 @@ def largest_essential_value(p: SetFunctionOracle) -> int:
 
 
 def beta_covered_member(B: BaseHandle, beta: int) -> np.ndarray:
-    """A member with every component <= beta, built by the greedy
-    m(s_i) := min {z : (m(s_1), ..., z, beta, ..., beta) in S'(p)}.
+    """A member with every component <= beta: Edmonds' greedy along
+    0..n-1 on the set cut by the box x <= beta (core._boxed_table).
 
-    Requires beta >= beta_1(B); raises EmptyBaseError when some component
-    would have to exceed beta.
+    Requires beta >= beta_1(B); raises EmptyBaseError, whose witness is a
+    set X with p(X) > beta |X|, otherwise.
     """
-    p = effective_oracle(B)
-    n = p.n
-    ptab = p.table()
-    pops = popcounts(n)
-    m = np.zeros(n, dtype=np.int64)
-    done_sums = np.zeros(1 << n, dtype=np.float64)
-    future = (1 << n) - 1
-    masks = np.arange(1 << n, dtype=np.int64)
-    for i in range(n):
-        future &= ~(1 << i)
-        rest = pops[masks & future]
-        sel = (masks >> i & 1) == 1
-        need = ptab[sel] - done_sums[sel] - beta * rest[sel]
-        z = float(np.max(need))
-        if z == NEG_INF:
-            z = ptab[-1]  # cannot happen for finite p(S); defensive
-        z = int(math.ceil(z))
-        if z > beta:
-            raise EmptyBaseError(f"no {beta}-covered member (component {i})")
-        m[i] = z
-        done_sums = done_sums + np.where(sel, z, 0.0)
-    return m
+    tab = _boxed_table(effective_oracle(B), None, np.full(B.n, float(beta)))
+    chain = tab[(2 << np.arange(B.n)) - 1]  # the prefixes {0, ..., i}
+    return np.diff(chain, prepend=0).astype(np.int64)
 
 
 def _pre_decmin_walk(B: BaseHandle, m, beta: int) -> Walk:
@@ -349,10 +324,6 @@ def strongly_poly_decmin(B: BaseHandle) -> np.ndarray:
     """Dec-min element via the peak-set recursion: find beta_i by
     Newton-Dinkelbach, fix a near-uniform block on the peak set S_i,
     contract it, and recurse on the rest."""
-    if B.modularity != "full":
-        # the recursion relies on p being the unique fully supermodular
-        # description; weaker oracles go through the basic algorithm
-        return basic_decmin(B)
     eff = effective_oracle(B)
     n = eff.n
     result = np.zeros(n, dtype=np.int64)

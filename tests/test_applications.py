@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from decmin.applications import (
     InfeasibleProblemError,
     MegiddoOracle,
     MegiddoProblem,
+    RootVectorOracle,
     SemiMatchingOracle,
     SemiMatchingProblem,
     decmin_root_vector,
@@ -16,15 +18,17 @@ from decmin.applications import (
     parse_digraph,
     parse_megiddo,
 )
+from decmin.canonical import canonical_from_decmin, duality_gap, verify_dual_optimal
 from decmin.core import (
     BaseHandle,
     EmptyBaseError,
     TableOracle,
+    enumerate_integral_points,
     sorted_dec,
     sorted_inc,
     value_equivalent,
 )
-from decmin.engine import basic_decmin
+from decmin.engine import basic_decmin, strongly_poly_decmin
 from decmin.netflow import Digraph, net_in_flow
 
 import util
@@ -398,6 +402,40 @@ class TestMegiddo:
             parse_megiddo("p digraph 3 2\na 1 3 1\na 2 3 1\nS: 0\nT: 3\n")
 
 
+def brute_root_vectors(n, arcs, k) -> list:
+    """Every vector with k roots in all that meets Edmonds' condition
+    m(X) >= k - rho(X) on every nonempty X, by exhaustive scan."""
+    feas = []
+    for vec in itertools.product(range(k + 1), repeat=n):
+        if sum(vec) != k:
+            continue
+        ok = True
+        for mask in range(1, 1 << n):
+            X = [v for v in range(n) if mask >> v & 1]
+            indeg = sum(1 for u, v in arcs if v in X and u not in X)
+            if sum(vec[v] for v in X) < k - indeg:
+                ok = False
+                break
+        if ok:
+            feas.append(vec)
+    return feas
+
+
+def random_digraph(rng, n, max_arcs):
+    return [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+            for _ in range(int(rng.integers(0, max_arcs + 1)))]
+
+
+def both_ways(rng, n, m):
+    """Both directions of each edge of a random connected multigraph: a
+    random spanning tree plus random edges, m edges in all."""
+    order = rng.permutation(n).tolist()
+    edges = [(order[int(rng.integers(i))], order[i]) for i in range(1, n)]
+    while len(edges) < m:
+        edges.append(tuple(int(v) for v in rng.choice(n, size=2, replace=False)))
+    return edges + [(v, u) for u, v in edges]
+
+
 class TestRootVectors:
     def test_examples(self):
         c3 = Digraph(3, [(0, 1), (1, 2), (2, 0)], [1] * 3)
@@ -428,21 +466,7 @@ class TestRootVectors:
             k = int(rng.integers(1, 3))
             D = Digraph(n, arcs, np.ones(m, np.int64))
             # brute feasibility and dec-min over root vectors
-            feas = []
-            for vec in itertools.product(range(k + 1), repeat=n):
-                if sum(vec) != k:
-                    continue
-                ok = True
-                for mask in range(1, 1 << n):
-                    X = [v for v in range(n) if mask >> v & 1]
-                    indeg = sum(
-                        1 for u, v in arcs if v in X and u not in X
-                    )
-                    if sum(vec[v] for v in X) < k - indeg:
-                        ok = False
-                        break
-                if ok:
-                    feas.append(np.array(vec, np.int64))
+            feas = [np.array(vec, np.int64) for vec in brute_root_vectors(n, arcs, k)]
             done += 1
             if not feas:
                 with pytest.raises(InfeasibleProblemError):
@@ -456,6 +480,80 @@ class TestRootVectors:
                 X = [v for v in range(n) if mask >> v & 1]
                 indeg = sum(1 for u, v in arcs if v in X and u not in X)
                 assert sum(int(got[v]) for v in X) >= k - indeg
+
+    def test_oracle_is_supermodular_and_holds_the_root_vectors(self):
+        # p is fully supermodular, p(S) = k exactly when a packing exists,
+        # and then the points of B'(p) are the root vectors
+        rng = np.random.default_rng(29)
+        feasible = 0
+        for _ in range(60):
+            n, k = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+            arcs = random_digraph(rng, n, 3 * n)
+            oracle = RootVectorOracle(n, arcs, k)
+            p = [oracle.value(x) for x in range(1 << n)]
+            for x in range(1 << n):
+                for y in range(x):
+                    assert p[x | y] + p[x & y] >= p[x] + p[y]
+            brute = sorted(brute_root_vectors(n, arcs, k))
+            assert (p[-1] == k) == bool(brute)
+            if brute:
+                feasible += 1
+                pts = enumerate_integral_points(BaseHandle(oracle)).points
+                assert sorted(map(tuple, pts.tolist())) == brute
+        assert feasible >= 20
+
+    def test_certificates_at_pi_star(self):
+        # the square-sum certificate holds at every answer: gap 0 at the
+        # optimal dual pi*, which verify_dual_optimal accepts, and the
+        # strongly polynomial recursion finds the same sorted vector
+        rng = np.random.default_rng(3)
+        done = 0
+        for _ in range(240):
+            n, k = int(rng.integers(3, 6)), int(rng.integers(1, 3))
+            arcs = random_digraph(rng, n, 4 * n)
+            D = Digraph(n, arcs, np.ones(len(arcs), np.int64))
+            try:
+                m = decmin_root_vector(D, k)
+            except InfeasibleProblemError:
+                continue
+            done += 1
+            B = BaseHandle(RootVectorOracle(n, arcs, k))
+            C = canonical_from_decmin(B, m)
+            assert duality_gap(B, m, C.pi_star).gap == 0
+            assert verify_dual_optimal(C, B, C.pi_star)
+            assert sorted_dec(strongly_poly_decmin(B)) == sorted_dec(m)
+        assert done >= 150
+
+    def test_large_digraphs_read_no_table_and_no_exchange(self, monkeypatch):
+        # past the subset ceiling every value and tight set is read off
+        # max flows; the answer meets Edmonds' condition at every node
+        # and its square-sum certificate holds
+        from decmin import core, netflow
+
+        def forbidden(*args):
+            raise AssertionError("a root-vector solve read a table or an exchange")
+
+        monkeypatch.setattr(core.SetFunctionOracle, "table", forbidden)
+        monkeypatch.setattr(core, "_exchange_tight", forbidden)
+        rng = np.random.default_rng(31)
+        arcs = both_ways(rng, 30, 90)
+        m = decmin_root_vector(Digraph(30, arcs, np.ones(len(arcs), np.int64)), 2)
+        assert m.min() >= 0 and int(m.sum()) == 2
+        rooted = Digraph(31, arcs + [(30, u) for u in range(30)], [1] * len(arcs) + m.tolist())
+        assert all(netflow.max_flow(rooted, 30, v)[0] == 2 for v in range(30))
+        B = BaseHandle(RootVectorOracle(30, arcs, 2))
+        assert duality_gap(B, m, canonical_from_decmin(B, m).pi_star).gap == 0
+
+    def test_nodes_short_of_in_arcs_are_infeasible_at_scale(self):
+        # both directions of 600 random edges on 200 nodes: a node v with
+        # fewer than 2 in-arcs needs 2 - indeg(v) roots, more than 2 in all
+        rng = random.Random(7)
+        edges = [tuple(rng.sample(range(200), 2)) for _ in range(600)]
+        arcs = edges + [(v, u) for u, v in edges]
+        indeg = np.bincount([v for _, v in arcs], minlength=200)
+        assert np.maximum(2 - indeg, 0).sum() > 2
+        with pytest.raises(InfeasibleProblemError):
+            decmin_root_vector(Digraph(200, arcs, np.ones(len(arcs), np.int64)), 2)
 
 
 def test_membership_keeps_the_base_sum():

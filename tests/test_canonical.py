@@ -423,6 +423,31 @@ class TestCheapest:
             assert value_equivalent(got, want.indeg)
             assert decmin_set_membership(D, handle, got)
 
+    def test_orientation_handles_without_a_decomposition(self):
+        # the same handles with no decomposition given, most of them past
+        # the subset ceiling: the greedy walks on the basic algorithm's
+        # own walk and reaches the min-cost flow's cost
+        rng = np.random.default_rng(67)
+        done = large = 0
+        while done < 50:
+            G = util.random_multigraph(rng, max_nodes=60, max_edges=150, min_nodes=3)
+            deg = G.degrees()
+            lo, hi = rng.integers(0, 2, size=G.n), deg - rng.integers(0, 2, size=G.n)
+            oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
+            if not oracle.flow().feasible:
+                continue
+            done += 1
+            large += G.n > 20
+            handle = BaseHandle(oracle)
+            c = rng.integers(-5, 6, size=G.n)
+            got = cheapest_decmin(handle, c)
+            pairs = [(int(c[u]), int(c[v])) for u, v in G.edges]
+            want = cheapest_decmin_orientation_bounded(G, lo, hi, pairs)
+            assert int(c @ got) == orientation_cost(want, pairs)
+            D = orientation_canonical(G, decmin_orientation_bounded(G, lo, hi), lo, hi)
+            assert decmin_set_membership(D, handle, got)
+        assert large >= 25
+
 
 def test_serialization_roundtrip():
     handle = util.r62_handle()

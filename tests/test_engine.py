@@ -7,6 +7,7 @@ from decmin.core import (
     enumerate_integral_points,
     brute_decmin_set,
     is_member,
+    mask_of,
     sorted_dec,
     value_equivalent,
 )
@@ -52,7 +53,6 @@ class TestGreedy:
 
     def test_initial_member_falls_back_to_scan(self):
         handle = util.line_handle()
-        handle.modularity = "intersecting"
         handle.lower = np.array([-2.0, -2.0])
         handle.upper = np.array([3.0, 3.0])
         m = initial_member(handle)
@@ -62,7 +62,7 @@ class TestGreedy:
         # crossing-style oracle whose polyhedron is empty: p(S)=0 but a
         # singleton demands more than the complement allows
         oracle = TableOracle([0, 1, 1, 0])
-        handle = BaseHandle(oracle, modularity="crossing")
+        handle = BaseHandle(oracle)
         with pytest.raises(EmptyBaseError):
             initial_member(handle)
 
@@ -186,6 +186,17 @@ class TestBetaCovered:
     def test_too_small_beta(self):
         with pytest.raises(EmptyBaseError):
             beta_covered_member(util.r62_handle(), 2)
+
+    def test_too_small_beta_names_a_violated_set(self):
+        # below beta_1 the witness X has p(X) > beta |X|
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            oracle = util.random_supermodular_table(rng, 5)
+            beta = largest_essential_value(oracle) - 1
+            with pytest.raises(EmptyBaseError) as info:
+                beta_covered_member(BaseHandle(oracle), beta)
+            X = info.value.witness
+            assert X and oracle.value(mask_of(X)) > beta * len(X)
 
     def test_any_order_yields_member(self):
         rng = np.random.default_rng(51)

@@ -20,6 +20,7 @@ from decmin import core, netflow, orientation
 from decmin.applications import (
     MegiddoOracle,
     MegiddoProblem,
+    RootVectorOracle,
     SemiMatchingOracle,
     SemiMatchingProblem,
     decmin_semimatching,
@@ -27,7 +28,6 @@ from decmin.applications import (
 )
 from decmin.core import (
     BaseHandle,
-    RootVectorOracle,
     TableOracle,
     exchange_feasible,
     is_member,
@@ -134,7 +134,7 @@ def _root_vector(rng):
     # k copies of one spanning arborescence make the set non-empty
     for _ in range(10):
         n = int(rng.integers(2, 6))
-        k = int(rng.integers(1, 3))
+        k = int(rng.integers(2, 6))
         order = rng.permutation(n).tolist()
         tree = [(order[int(rng.integers(0, i))], order[i]) for i in range(1, n)]
         arcs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
@@ -177,14 +177,13 @@ def test_reader_matches_table_scan(kind, monkeypatch):
     # members and at non-members; the low ceiling sends the kinds that
     # register a membership test through their exchange branch
     rng = np.random.default_rng(53)
-    modularity = "intersecting" if kind == "root-vector" else "full"
     queries = zero_entries = 0
     for oracle in INSTANCES[kind](rng):
         monkeypatch.delenv("DECMIN_BRUTE_CEILING", raising=False)
         n = oracle.n
         table = TableOracle([oracle.value(x) for x in range(1 << n)])
         table.table()
-        scan = BaseHandle(table, modularity)
+        scan = BaseHandle(table)
         members = _members(scan, rng)
         probes = [members[0] + rng.integers(-1, 2, size=n),
                   members[0] + np.eye(n, dtype=np.int64)[0]]
@@ -194,8 +193,8 @@ def test_reader_matches_table_scan(kind, monkeypatch):
             if low_ceiling:
                 monkeypatch.setenv("DECMIN_BRUTE_CEILING", "1")
             for box in boxes:
-                B = BaseHandle(oracle, modularity, **box)
-                ref = BaseHandle(table, modularity, **box)
+                B = BaseHandle(oracle, **box)
+                ref = BaseHandle(table, **box)
                 for y in members:
                     zero_entries += int(np.any(y == 0))
                     assert is_member(B, y) == is_member(ref, y)
@@ -248,10 +247,6 @@ def test_handles_are_freed_by_reference_counting():
 # ---------------------------------------------------------------------------
 
 
-def _modularity(kind):
-    return "intersecting" if kind == "root-vector" else "full"
-
-
 def _start(scan):
     """A member far from dec-min: initial_member's, then up to 2n unit
     exchanges, each raising a component at least as large as the one it
@@ -279,15 +274,14 @@ def test_walk_steps_match_a_fresh_reader(kind):
     # left; after every step its tight sets are those of a fresh reader
     # and of the table scan at the new vector, boxed and unboxed
     rng, pick = np.random.default_rng(53), np.random.default_rng(61)
-    modularity = _modularity(kind)
     steps = 0
     for oracle in INSTANCES[kind](rng):
         n = oracle.n
         table = TableOracle([oracle.value(x) for x in range(1 << n)])
-        start = _start(BaseHandle(table, modularity))
+        start = _start(BaseHandle(table))
         for box in ({}, _box_around(pick, start)):
-            B = BaseHandle(oracle, modularity, **box)
-            ref = BaseHandle(table, modularity, **box)
+            B = BaseHandle(oracle, **box)
+            ref = BaseHandle(table, **box)
             walk = tight_sets(B, start)
             while (pair := tightening_pair(walk.m, walk)) is not None:
                 s, t = pair
@@ -385,14 +379,13 @@ def test_walk_matches_a_fresh_reader_per_step():
         pick = np.random.default_rng(seed + 100)
         for kind in sorted(core._READERS):
             rng = np.random.default_rng(seed)
-            modularity = _modularity(kind)
             for oracle in INSTANCES[kind](rng):
-                B = BaseHandle(oracle, modularity)
+                B = BaseHandle(oracle)
                 table = TableOracle([oracle.value(x) for x in range(1 << oracle.n)])
-                start = _start(BaseHandle(table, modularity))
+                start = _start(BaseHandle(table))
                 best = sorted_dec(_fresh_route(B, start))
                 assert sorted_dec(basic_decmin(B)) == sorted_dec(basic_decmin(B, start)) == best
-                boxed = BaseHandle(oracle, modularity, **_box_around(pick, start))
+                boxed = BaseHandle(oracle, **_box_around(pick, start))
                 got = basic_decmin(boxed, start)
                 assert sorted_dec(got) == sorted_dec(_fresh_route(boxed, start))
                 assert boxed.in_box(got)
@@ -519,14 +512,13 @@ def test_tightening_pair_matches_the_full_scan(kind):
     # returns the pair of the scan that reads every target, and so does
     # the pre-dec-min scan that reads only the largest-valued targets
     rng, pick = np.random.default_rng(71), np.random.default_rng(73)
-    modularity = _modularity(kind)
     steps = 0
     for oracle in _skip_instances(kind, rng):
         n = oracle.n
         table = TableOracle([oracle.value(x) for x in range(1 << n)])
-        start = _start(BaseHandle(table, modularity))
+        start = _start(BaseHandle(table))
         for box in ({}, _box_around(pick, start)):
-            walk = _Recording(tight_sets(BaseHandle(oracle, modularity, **box), start))
+            walk = _Recording(tight_sets(BaseHandle(oracle, **box), start))
             m, inner = walk.m, walk._inner
             while True:
                 top = max(m)
@@ -553,12 +545,11 @@ def test_chain_and_peak_unions_match_full_unions(kind):
     # the peak set of every value, which skip the elements inside the
     # union so far, are the unions of every element's smallest tight set
     rng, pick = np.random.default_rng(79), np.random.default_rng(83)
-    modularity = _modularity(kind)
     for oracle in _skip_instances(kind, rng):
         table = TableOracle([oracle.value(x) for x in range(1 << oracle.n)])
-        start = _start(BaseHandle(table, modularity))
+        start = _start(BaseHandle(table))
         for box in ({}, _box_around(pick, start)):
-            B = BaseHandle(oracle, modularity, **box)
+            B = BaseHandle(oracle, **box)
             m = basic_decmin(B, start)
             walk = tight_sets(B, m)
             D = canonical_from_tight_sets(m, walk)
