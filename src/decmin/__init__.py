@@ -56,7 +56,7 @@ from .canonical import (
 
 from .orientation import GraphInducedOracle
 
-# importing the problem modules registers their tight-set readers
+# importing the problem modules registers their starts
 from . import applications, matroid, netflow, orientation  # noqa: F401
 
 __all__ = [name for name in dir() if not name.startswith("_")]

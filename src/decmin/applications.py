@@ -9,7 +9,7 @@ engine.
 
 Semi-matchings and Megiddo flows are orientations: their oracles are
 orientation.OrientationOracle on the graphs below, which owns every flow
-of either (oracle value, start, realization, tight-set reader):
+of either (oracle value, start, tight sets):
 
 - a semi-matching orients the bipartite graph G = (S, T; E) itself: the
   chosen copies of each edge point at S and the rest at T, so d_F(s) is
@@ -20,11 +20,12 @@ of either (oracle value, start, realization, tight-set reader):
   capacity, with the sources numbered first (MegiddoOracle).
 
 decmin_semimatching and megiddo_discrete solve one flow, the start's
-(a Megiddo start raises the zero flow to the amount by a max flow on its
-own residual network): engine.tighten walks on its residual network with
-the objective nodes pinned (orientation.walk_on), one path per step, and
-the final flow is read off that network, or with costs is one cheapest
-flow over the dec-min set (orientation.cheapest_flow).
+(core.start for a semi-matching; a Megiddo flow raises the zero flow to
+the amount, unknown when unset, by a max flow on its own residual
+network): engine.tighten walks on its residual network with the
+objective nodes pinned (orientation.walk_on), one path per step, and the
+final flow is read off that network, or with costs is one cheapest flow
+over the dec-min set (orientation.cheapest_flow).
 
 Root-vectors have a fully supermodular oracle whose values and tight sets
 are max flows from a super-root (RootVectorOracle, _root_tight).
@@ -42,27 +43,27 @@ import numpy as np
 from . import netflow
 from .core import (
     BaseHandle,
+    EmptyBaseError,
     SetFunctionOracle,
     _rereading,
     as_intvec,
     register_reader,
+    start,
     text_parser,
 )
 from .engine import basic_decmin, tighten
 from .netflow import Digraph, FlowResult
 from .orientation import (
     OrientationOracle,
-    _flow_realise,
+    _flow_start,
     _toward_v,
     cheapest_flow,
     walk_on,
 )
 
 
-class InfeasibleProblemError(RuntimeError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class InfeasibleProblemError(EmptyBaseError):
+    """No feasible answer exists; carries a witness set when one is known."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +208,12 @@ def decmin_semimatching(P: SemiMatchingProblem) -> SemiMatchingResult:
     the in-degree bounds lo, hi, where i(X) counts the edge copies inside
     X and e(U) those touching U."""
     oracle = SemiMatchingOracle(P)
-    first = oracle.flow(cost=[(0, 1)] * P.m)
-    if not first.feasible:
+    try:
+        walk = start(BaseHandle(oracle))
+    except EmptyBaseError as exc:
         raise InfeasibleProblemError(
-            "no subgraph meets the degree specifications", witness=first.witness
-        )
-    walk = walk_on(oracle, first)
+            "no subgraph meets the degree specifications", exc.witness
+        ) from None
     tighten(walk)
     if P.cost is None:
         z = _toward_v(walk.R, P.m)
@@ -302,8 +303,8 @@ class MegiddoOracle(OrientationOracle):
         super().__init__(D.n, edges, D.cap, lo, hi, k, incap[:k], [(range(k), self.amount)])
 
 
-register_reader(SemiMatchingOracle.kind, _flow_realise)
-register_reader(MegiddoOracle.kind, _flow_realise)
+register_reader(SemiMatchingOracle.kind, _flow_start)
+register_reader(MegiddoOracle.kind, _flow_start)
 
 
 def megiddo_discrete(P: MegiddoProblem) -> MegiddoResult:
@@ -343,9 +344,12 @@ class RootVectorOracle(SetFunctionOracle):
     spanning arborescences (arcs at capacity 1).  By Edmonds' branching
     theorem, c(u) roots at each u fit one iff a super-root feeding each u
     with c(u) sends k units into every node.  From k at every node, p(X)
-    lowers each v of X in turn to k - f_v, f_v the flow into v while the
-    super-root feeds the other nodes.  p is fully supermodular with
-    p({v}) >= 0; the root vectors are B'(p) if p(S) = k, else none exist."""
+    lowers each v of X in increasing order to k - f_v, f_v the flow into
+    v while the super-root feeds the other nodes.  p is fully supermodular
+    with p({v}) >= 0; the root vectors are B'(p) if p(S) = k, else none
+    exist.  The memo holds one list of supplies per mask, and a mask
+    lowers its highest node from those of the mask without it: one flow
+    per mask, n along the greedy chain."""
 
     kind = "root-vector"
 
@@ -354,7 +358,7 @@ class RootVectorOracle(SetFunctionOracle):
         self.arcs = [(int(u), int(v)) for (u, v) in arcs]
         self.k = int(k)
         self._reversed = [(v, u) for u, v in self.arcs] + [(u, n_nodes) for u in range(n_nodes)]
-        self._memo: dict = {}
+        self._memo: dict = {0: [self.k] * n_nodes}
 
     def flow_into(self, v: int, c):
         """(value, residual network) of a max flow into v, stopped at k,
@@ -364,14 +368,18 @@ class RootVectorOracle(SetFunctionOracle):
         return netflow._max_flow(self._n + 1, self._reversed, caps, v, self._n, self.k)
 
     def value(self, mask: int):
-        if mask not in self._memo:
-            c = [self.k] * self._n
-            nodes = [v for v in range(self._n) if mask >> v & 1]
-            for v in nodes:
-                c[v] = 0
-                c[v] = self.k - self.flow_into(v, c)[0]
-            self._memo[mask] = sum(c[v] for v in nodes)
-        return self._memo[mask]
+        chain = []
+        while mask not in self._memo:
+            chain.append(mask)
+            mask ^= 1 << (mask.bit_length() - 1)
+        for mask in reversed(chain):
+            v = mask.bit_length() - 1
+            c = list(self._memo[mask ^ 1 << v])
+            c[v] = 0
+            c[v] = self.k - self.flow_into(v, c)[0]
+            self._memo[mask] = c
+        c = self._memo[mask]
+        return sum(c[v] for v in range(self._n) if mask >> v & 1)
 
 
 def _root_tight(B: BaseHandle, m):

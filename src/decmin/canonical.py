@@ -24,9 +24,10 @@ from .core import (
     is_member,
     mask_of,
     member_tight_sets,
+    start,
     tight_sets,
 )
-from .engine import _initial_walk, tight_union, tighten, tightening_pair
+from .engine import tight_union, tighten, tightening_pair
 
 
 class NotDecMinError(ValueError):
@@ -369,13 +370,13 @@ def cheapest_decmin(B: BaseHandle, cost, D: Optional[CanonicalDecomposition] = N
     kept (swap_partner, latest y in that order first), until r_i are kept.
     Of equal-cost answers this is the greedy basis of that order, so D's
     element comes back unchanged when it is cheapest already.  Without D
-    the walk is the basic algorithm's from initial_member's start, and D
-    is read off the dec-min element it ends at."""
+    the walk is the basic algorithm's from the kind's start (core.start),
+    and D is read off the dec-min element it ends at."""
     cost = np.asarray(list(cost), dtype=np.float64)
     if cost.shape != (B.n,):
         raise ValueError(f"one cost per element required: {B.n} elements, {cost.size} costs")
     if D is None:
-        walk = _initial_walk(B)
+        walk = start(B)
         tighten(walk)
         m = walk.m
         D = canonical_from_tight_sets(np.array(m, dtype=np.int64), walk)

@@ -121,24 +121,17 @@ def _cmd_orient(args) -> int:
         else "cheapest-decmin" if args.cheapest
         else "decmin",
     )
-    try:
-        if args.capacitated:
-            cap = orientation.capacitated_decmin_orientation(G)
-            payload = {
-                "toward_head": cap.toward_head.tolist(),
-                "indeg": cap.indeg.tolist(),
-            }
-            if args.verify:
-                _verify_capacitated(G, cap)
-            _emit(payload, args.format)
-            return 0
-        orient = orientation.solve_orientation_spec(G, spec)
-    except orientation.InfeasibleOrientationError as exc:
-        _emit(
-            {"infeasible": str(exc), "witness": _witness_list(exc.witness)},
-            args.format,
-        )
-        return 2
+    if args.capacitated:
+        cap = orientation.capacitated_decmin_orientation(G)
+        payload = {
+            "toward_head": cap.toward_head.tolist(),
+            "indeg": cap.indeg.tolist(),
+        }
+        if args.verify:
+            _verify_capacitated(G, cap)
+        _emit(payload, args.format)
+        return 0
+    orient = orientation.solve_orientation_spec(G, spec)
     if args.verify:
         _verify_orientation(G, orient, spec)
     payload = _orientation_payload(orient)
@@ -247,14 +240,7 @@ def _verify_semimatch(P, res) -> None:
 def _cmd_semimatch(args) -> int:
     with open(args.instance) as fh:
         P = applications.load_semimatching_json(fh.read())
-    try:
-        res = applications.decmin_semimatching(P)
-    except applications.InfeasibleProblemError as exc:
-        _emit(
-            {"infeasible": str(exc), "witness": _witness_list(exc.witness)},
-            args.format,
-        )
-        return 2
+    res = applications.decmin_semimatching(P)
     if args.verify:
         _verify_semimatch(P, res)
     payload = {
@@ -275,11 +261,7 @@ def _cmd_matroid_sum(args) -> int:
             mats.append(matroid.load_matroid_json(fh.read()))
     lower = _vec(args.lower) if args.lower else None
     upper = _vec(args.upper) if args.upper else None
-    try:
-        bases, total = matroid.decmin_basis_sum(mats, lower, upper)
-    except core.EmptyBaseError as exc:
-        _emit({"infeasible": str(exc), "witness": _witness_list(exc.witness)}, args.format)
-        return 2
+    bases, total = matroid.decmin_basis_sum(mats, lower, upper)
     if args.verify:
         _verify_matroid_sum(mats, lower, upper, total)
     _emit(
@@ -385,11 +367,7 @@ def _verify_rootvec(D, k, m) -> None:
 def _cmd_megiddo(args) -> int:
     with open(args.instance) as fh:
         P = applications.parse_megiddo(fh.read())
-    try:
-        res = applications.megiddo_discrete(P)
-    except applications.InfeasibleProblemError as exc:
-        _emit({"infeasible": str(exc), "witness": []}, args.format)
-        return 2
+    res = applications.megiddo_discrete(P)
     if args.verify:
         _verify_megiddo(P, res)
     _emit(
@@ -406,11 +384,7 @@ def _cmd_megiddo(args) -> int:
 def _cmd_rootvec(args) -> int:
     with open(args.digraph) as fh:
         D = applications.parse_digraph(fh.read())
-    try:
-        m = applications.decmin_root_vector(D, args.k)
-    except applications.InfeasibleProblemError as exc:
-        _emit({"infeasible": str(exc), "witness": []}, args.format)
-        return 2
+    m = applications.decmin_root_vector(D, args.k)
     if args.verify:
         _verify_rootvec(D, args.k, m)
     _emit({"m": m.tolist()}, args.format)
@@ -518,6 +492,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except core.EmptyBaseError as exc:
+        _emit({"infeasible": str(exc), "witness": _witness_list(exc.witness)}, args.format)
+        return 2
     except (OSError, ValueError, json.JSONDecodeError, core.CeilingExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

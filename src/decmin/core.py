@@ -19,9 +19,12 @@ A derived set function (contraction, restriction, shift, complement and
 the box's p_box) is again a TableOracle, built by numpy from the 2^n table
 of its inner function, so each costs one table and no per-mask calls.
 
-Set functions that one network flow realises (OrientationOracle and its
-kinds, graph-induced sets among them) live with that flow, in
-orientation, and register their tight-set reader here.
+Every solver begins at start(B, lower, upper), a walk at some member
+inside a box: each oracle kind registers one start here, membership is
+the start pinned to a vector (tight_sets), and a kind with none starts
+at Edmonds' greedy member (_greedy).  Set functions that one network
+flow realises (OrientationOracle and its kinds, graph-induced sets among
+them) live with that flow, in orientation.
 
 This module also hosts the brute-force point enumeration
 (enumerate_integral_points) that the tests and the CLI's --verify scans
@@ -31,6 +34,7 @@ use as a verification oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -457,10 +461,30 @@ class Walk:
         raise NotImplementedError
 
 
+def _greedy(p: SetFunctionOracle, lo=None, hi=None, order=None) -> np.ndarray:
+    """Edmonds' greedy member of B'(p) cut by the box lo <= x <= hi (None:
+    no bound): m(s_i) = q(Z_i) - q(Z_{i-1}) along the chain Z_i of the
+    first i elements of order (default 0, ..., n-1).  Without a box q is
+    p, read at the n prefixes; with one it is p_box (_boxed_table: 2^n
+    values, behind the subset ceiling).  EmptyBaseError on a -inf prefix."""
+    order = list(range(p.n) if order is None else order)
+    masks = list(itertools.accumulate(1 << v for v in order))
+    if lo is None and hi is None:
+        chain = [p.value(x) for x in masks]
+    else:
+        tab = _boxed_table(p, lo, hi)
+        chain = [tab[x] for x in masks]
+    if NEG_INF in chain:
+        raise EmptyBaseError("the greedy chain meets a -inf value")
+    m = np.zeros(p.n, dtype=np.int64)
+    m[order] = np.diff(chain, prepend=0)
+    return m
+
+
 class _Rereading(Walk):
-    """The walk of a reader that holds no realisation: read(B, m) gives
-    tight(t) or None, and each step moves one unit; the new vector is read
-    on the next tight-set call, so a last step costs no read."""
+    """The walk of a kind that holds no realisation: read(B, m) gives
+    tight(t), and each step moves one unit; the new vector is read on the
+    next tight-set call, so a last step costs no read."""
 
     def __init__(self, read, B: BaseHandle, m, tight):
         self.m = m
@@ -479,13 +503,19 @@ class _Rereading(Walk):
 
 
 def _rereading(read):
-    """The reader of read(B, m), a tight(t) that holds no realisation."""
+    """The start of a kind whose read(B, m) gives tight(t) of a member m
+    of B'(p), or None for a non-member: it reads m itself when lo = hi,
+    otherwise Edmonds' greedy member in the box (_greedy)."""
 
-    def reader(B: BaseHandle, m):
+    def start(B: BaseHandle, lo, hi) -> Walk:
+        pinned = lo is not None and hi is not None and np.array_equal(lo, hi)
+        m = as_intvec(lo).copy() if pinned else _greedy(B.oracle, lo, hi)
         tight = read(B, m)
-        return None if tight is None else _Rereading(read, B, m, tight)
+        if tight is None:
+            raise EmptyBaseError("no member of the set lies in the box")
+        return _Rereading(read, B, m, tight)
 
-    return reader
+    return start
 
 
 class _InBox(Walk):
@@ -517,14 +547,15 @@ def box_walk(B: BaseHandle, walk: Walk) -> Walk:
     return _InBox(walk, B.lower, B.upper) if B.has_box else walk
 
 
-# one reader per oracle kind: reader(B, m) is None when m is not in the
-# unboxed set B'(p), else a Walk of that set starting at m (a copy the
-# walk owns); kinds without one scan the 2^n table
+# one start per oracle kind: start(B, lo, hi) is a Walk of the unboxed set
+# B'(p) at a member with lo <= x <= hi (None: no bound), whose vector the
+# walk owns, or EmptyBaseError; kinds without one start by Edmonds' greedy
+# and scan the 2^n table
 _READERS: dict = {}
 
 
-def register_reader(kind: str, reader) -> None:
-    _READERS[kind] = reader
+def register_reader(kind: str, start) -> None:
+    _READERS[kind] = start
 
 
 def _table_tight(B: BaseHandle, m):
@@ -545,7 +576,7 @@ def _table_tight(B: BaseHandle, m):
     return tight
 
 
-_table_reader = _rereading(_table_tight)
+_table_start = _rereading(_table_tight)
 
 
 def _exchange_tight(member, B: BaseHandle, m, t: int) -> frozenset:
@@ -562,10 +593,10 @@ def _exchange_tight(member, B: BaseHandle, m, t: int) -> frozenset:
 
 
 def register_membership(kind: str, member) -> None:
-    """A reader from an exact membership test member(B, m) of the unboxed
-    set, for a kind with no reading of its own (matroid aggregates): the
-    table scan up to the subset ceiling, one membership query per element
-    of each tight set beyond it."""
+    """A start from an exact membership test member(B, m) of the unboxed
+    set, for a kind with no reading of its own (matroid aggregates):
+    Edmonds' greedy, then the table scan up to the subset ceiling and one
+    membership query per element of each tight set beyond it."""
 
     def tight(B: BaseHandle, m):
         if B.n <= subset_ceiling():
@@ -577,20 +608,42 @@ def register_membership(kind: str, member) -> None:
     register_reader(kind, _rereading(tight))
 
 
+def _meet(own, given, pick):
+    """The bound pick(own, given), None being no bound; given itself, its
+    exact ints kept, when it lies inside own already."""
+    if given is None:
+        return own
+    given = np.asarray(given)
+    if own is None:
+        return given
+    met = pick(own, given)
+    return given if np.array_equal(met, given) else met
+
+
+def start(B: BaseHandle, lower=None, upper=None) -> Walk:
+    """A walk of B, box included, at some member with lower <= x <= upper
+    (None: no bound): the kind's start on B's box met with these bounds.
+    EmptyBaseError, with a witness set when one is known, if none exists."""
+    lo, hi = _meet(B.lower, lower, np.maximum), _meet(B.upper, upper, np.minimum)
+    if lo is not None and hi is not None and np.any(lo > hi):
+        raise EmptyBaseError("the box is empty", frozenset({int(np.argmax(lo > hi))}))
+    return box_walk(B, _READERS.get(B.oracle.kind, _table_start)(B, lo, hi))
+
+
 def tight_sets(B: BaseHandle, m) -> Optional[Walk]:
-    """None when m is not in the set (box included), else a Walk at m:
-    walk(t) is T_m(t), the unique smallest m-tight set containing t, read
-    off one reader.
+    """None when m is not in the set (box included), else a Walk at m, the
+    start pinned to m: walk(t) is T_m(t), the unique smallest m-tight set
+    containing t.
 
     With a box this is the boxed variant: {t} alone if m(t) sits on the
     lower bound, otherwise the unboxed set minus the elements saturating
     their upper bound.
     """
-    m = as_intvec(m, B.n).copy()
-    if not B.in_box(m):
+    m = as_intvec(m, B.n)
+    try:  # outside B's box the met bounds cross, and start raises
+        return start(B, m, m)
+    except EmptyBaseError:
         return None
-    walk = _READERS.get(B.oracle.kind, _table_reader)(B, m)
-    return None if walk is None else box_walk(B, walk)
 
 
 def member_tight_sets(B: BaseHandle, m) -> Walk:

@@ -3,8 +3,9 @@ the Newton-Dinkelbach routine for the largest essential value, and the
 strongly polynomial peak-set recursion, plus local/global optimality tests
 and the uniformity measures (square-sum, difference-sum, k-largest-sums).
 
-Every routine reads the handle's p as fully supermodular: a start is
-Edmonds' greedy member, and so is a beta-covered member, in the box x <= beta.
+Every routine reads the handle's p as fully supermodular and begins at
+its kind's start (core.start): a beta-covered member is the start in the
+box x <= beta, which the peak-set recursion tightens in place.
 
 The basic algorithm is one loop, tighten, over a core.Walk: the member
 moves in place, one step per 1-tightening pair, and the walk answers the
@@ -30,17 +31,16 @@ import numpy as np
 
 from .core import (
     BaseHandle,
-    EmptyBaseError,
     NEG_INF,
     SetFunctionOracle,
     Walk,
     as_intvec,
-    _boxed_table,
+    _greedy,
     contract,
     effective_oracle,
     member_tight_sets,
     popcounts,
-    tight_sets,
+    start,
 )
 
 
@@ -49,46 +49,17 @@ class NoGoodMuError(RuntimeError):
 
 
 def greedy_member(B: BaseHandle, order=None) -> np.ndarray:
-    """Edmonds' greedy member: m(s_i) = p(Z_i) - p(Z_{i-1}) along a chain.
-
-    Requires the effective supermodular function to be finite along the
-    chain of the chosen order; raises EmptyBaseError otherwise.
-    """
-    p = effective_oracle(B)
-    n = p.n
-    if order is None:
-        order = list(range(n))
-    m = np.zeros(n, dtype=np.int64)
-    prev = 0
-    mask = 0
-    for v in order:
-        mask |= 1 << v
-        cur = p.value(mask)
-        if cur == NEG_INF:
-            raise EmptyBaseError(
-                "greedy chain hit a -inf value; use initial_member instead"
-            )
-        m[v] = cur - prev
-        prev = cur
-    return m
-
-
-def _initial_walk(B: BaseHandle) -> Walk:
-    """A walk at some integral element of the set (see initial_member)."""
-    walk = tight_sets(B, greedy_member(B))
-    if walk is None:
-        raise EmptyBaseError(
-            "greedy member infeasible (empty box intersection, or the "
-            "oracle is not fully supermodular)"
-        )
-    return walk
+    """Edmonds' greedy member of B along order (core._greedy): p's own
+    prefix values, or with a box those of the 2^n boxed table; raises
+    EmptyBaseError on a -inf prefix."""
+    return _greedy(B.oracle, B.lower, B.upper, order)
 
 
 def initial_member(B: BaseHandle) -> np.ndarray:
-    """Some integral element of the set: Edmonds' greedy member, which the
-    kind's reader tests for membership.  A table that is not fully
-    supermodular fails that test and raises EmptyBaseError."""
-    return np.array(_initial_walk(B).m, dtype=np.int64)
+    """Some integral element of the set: the kind's start (core.start).  A
+    table that is not fully supermodular fails its membership read and
+    raises EmptyBaseError."""
+    return np.array(start(B).m, dtype=np.int64)
 
 
 def tightening_pair(m, tight: Callable[[int], frozenset]) -> Optional[tuple]:
@@ -147,11 +118,11 @@ def one_tightening(B: BaseHandle, m) -> Optional[tuple]:
 
 def basic_decmin(B: BaseHandle, m0=None) -> np.ndarray:
     """The basic algorithm: 1-tightening steps until none applies, on one
-    walk from m0 (default: initial_member's), so a flow-backed set solves
+    walk from m0 (default: the kind's start, core.start), so a flow-backed set solves
     one flow and pushes each step along a path of its residual network.
 
     Polynomial in n + |p(S)| (the square-sum strictly drops each step)."""
-    walk = _initial_walk(B) if m0 is None else member_tight_sets(B, m0)
+    walk = start(B) if m0 is None else member_tight_sets(B, m0)
     tighten(walk)
     return np.array(walk.m, dtype=np.int64)
 
@@ -269,21 +240,14 @@ def largest_essential_value(p: SetFunctionOracle) -> int:
 
 
 def beta_covered_member(B: BaseHandle, beta: int) -> np.ndarray:
-    """A member with every component <= beta: Edmonds' greedy along
-    0..n-1 on the set cut by the box x <= beta (core._boxed_table).
+    """A member with every component <= beta: the kind's start in the box
+    x <= beta (core.start).
 
-    Requires beta >= beta_1(B); raises EmptyBaseError, whose witness is a
-    set X with p(X) > beta |X|, otherwise.
+    Requires beta >= beta_1(B); raises EmptyBaseError otherwise, whose
+    witness, on a kind that starts by the boxed greedy, is a set X with
+    p(X) > beta |X|.
     """
-    tab = _boxed_table(effective_oracle(B), None, np.full(B.n, float(beta)))
-    chain = tab[(2 << np.arange(B.n)) - 1]  # the prefixes {0, ..., i}
-    return np.diff(chain, prepend=0).astype(np.int64)
-
-
-def _pre_decmin_walk(B: BaseHandle, m, beta: int) -> Walk:
-    walk = member_tight_sets(B, m)
-    tighten(walk, beta)
-    return walk
+    return np.array(start(B, upper=np.full(B.n, beta)).m, dtype=np.int64)
 
 
 def tight_union(tight, targets, union: Optional[set] = None) -> set:
@@ -306,7 +270,9 @@ def pre_decmin_tighten(B: BaseHandle, m, beta: int) -> np.ndarray:
     """Turn a beta-covered member into a pre-dec-min one: repeatedly move
     units off a beta-valued component onto one at most beta - 2, while
     some exchange allows it: the 1-tightening steps whose t sits at beta."""
-    return np.array(_pre_decmin_walk(B, m, beta).m, dtype=np.int64)
+    walk = member_tight_sets(B, m)
+    tighten(walk, beta)
+    return np.array(walk.m, dtype=np.int64)
 
 
 def peak_set(B: BaseHandle, beta1: int, m=None) -> frozenset:
@@ -314,7 +280,8 @@ def peak_set(B: BaseHandle, beta1: int, m=None) -> frozenset:
     computed from a pre-dec-min member as the union of the smallest tight
     sets of its beta_1-valued components."""
     if m is None:
-        walk = _pre_decmin_walk(B, beta_covered_member(B, beta1), beta1)
+        walk = start(B, upper=np.full(B.n, beta1))
+        tighten(walk, beta1)
     else:
         walk = member_tight_sets(B, m)
     return _peak(walk, beta1)
@@ -337,7 +304,8 @@ def strongly_poly_decmin(B: BaseHandle) -> np.ndarray:
             raise RuntimeError("essential values failed to decrease")
         prev_beta = beta
         # the peak set is read off the walk the tightening ended on
-        walk = _pre_decmin_walk(handle, beta_covered_member(handle, beta), beta)
+        walk = start(handle, upper=np.full(handle.n, beta))
+        tighten(walk, beta)
         m = walk.m
         s1 = _peak(walk, beta)
         for local in s1:

@@ -391,18 +391,15 @@ class _SumState(Walk):
         return 1
 
 
-def _sum_reader(B: BaseHandle, m) -> Optional[_SumState]:
-    """The walk of bases summing to m: the greedy bases moved into the box
-    [m, m] by exchange paths, or None when no bases sum to m."""
+def _sum_start(B: BaseHandle, lo, hi) -> _SumState:
+    """The walk of bases summing to a member in the box lo <= m <= hi: the
+    greedy bases, moved into the box by exchange paths (_into_box)."""
     state = _SumState(B.oracle.matroids, [M.greedy_basis() for M in B.oracle.matroids])
-    try:
-        _into_box(state, m, m)
-    except EmptyBaseError:
-        return None
+    _into_box(state, lo, hi)
     return state
 
 
-register_reader("matroid-sum", _sum_reader)
+register_reader("matroid-sum", _sum_start)
 
 
 def _into_box(state: _SumState, lo, hi) -> None:
@@ -456,10 +453,8 @@ def decmin_basis_sum(matroids: Sequence, lower=None, upper=None):
     evaluated.  The greedy bases enter a box by exchange paths too; an
     empty intersection raises EmptyBaseError with a witness set.
     """
-    oracle = SumOfMatroidsOracle(matroids)
-    handle = BaseHandle(oracle, lower=lower, upper=upper)
-    state = _SumState(oracle.matroids, [M.greedy_basis() for M in oracle.matroids])
-    _into_box(state, handle.lower, handle.upper)
+    handle = BaseHandle(SumOfMatroidsOracle(matroids), lower=lower, upper=upper)
+    state = _sum_start(handle, handle.lower, handle.upper)
     tighten(box_walk(handle, state))
     return list(state.bases), state.m.copy()
 

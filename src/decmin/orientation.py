@@ -24,8 +24,9 @@ applications.  Its solvers walk on the residual network of their start flow
 (walk_on), so a solve runs one flow and then one path per step, and with
 costs one more flow over the dec-min set (cheapest_flow); an orientation
 dec-min both ways is one flow over the in-degree and the out-degree
-dec-min sets (inout_decmin_orientation).  One reader,
-_flow_realise, the walk on the flow pinning the vector, serves each kind.
+dec-min sets (inout_decmin_orientation).  One start, _flow_start, serves
+each kind: one flow within the box, walked on its own residual network;
+pinned to a vector it reads that vector's tight sets.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .core import (
     as_intvec,
     mask_of,
     register_reader,
+    start,
     text_parser,
 )
 from .canonical import (
@@ -60,12 +62,8 @@ from .engine import tighten
 from .netflow import Digraph, FlowProblem, FlowResult, arc_disjoint_paths_at_least
 
 
-class InfeasibleOrientationError(RuntimeError):
+class InfeasibleOrientationError(EmptyBaseError):
     """No orientation satisfies the requirements; carries a witness set."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 NotDecMinOrientationError = NotDecMinError
@@ -355,13 +353,14 @@ class _ResidualWalk(Walk):
     in R (s has an s -> t dipath), sit below hi(s) and, for connectivity
     k > 0, have k+1 arc-disjoint s -> t dipaths, i.e. a t -> s flow of
     k+1 in R (so reversing one keeps every cut in-degree at k or more);
-    {t} alone when t sits at lo(t).  A step pushes along a shortest
-    t -> s path as many units as the limit, the path's least arc,
-    hi(s) - deg(s) and deg(t) - lo(t) allow."""
+    {t} alone when t sits at lo(t); with block labels, only the s of t's
+    block (the flow fixes each block's sum).  A step pushes along a
+    shortest t -> s path as many units as the limit, the path's least
+    arc, hi(s) - deg(s) and deg(t) - lo(t) allow."""
 
-    def __init__(self, R, deg, lo, hi, k=0):
+    def __init__(self, R, deg, lo, hi, k=0, block=None):
         self.m = deg
-        self.R, self.k = R, k
+        self.R, self.k, self.block = R, k, block
         self.lo, self.hi = np.asarray(lo).tolist(), np.asarray(hi).tolist()
         self._arcs = [(R.head[a ^ 1], R.head[a]) for a in range(len(R.res))] if k else None
         self._cache: dict = {}
@@ -378,6 +377,8 @@ class _ResidualWalk(Walk):
             return frozenset({t})
         seen = R.reach(t)
         members = [s for s in range(len(deg)) if seen[s] and deg[s] < hi[s] and s != t]
+        if self.block is not None:
+            members = [s for s in members if self.block[s] == self.block[t]]
         if k:
             members = [
                 s for s in members
@@ -432,9 +433,10 @@ class OrientationOracle(SetFunctionOracle):
         self._memo: dict = {}
 
     def flow(self, lo_y=None, hi_y=None, blocks=None, cost=None) -> FlowResult:
-        """One orientation flow with y narrowed to [lo_y, hi_y] (pinned
-        when lo_y = hi_y) and the sums of blocks (default: the oracle's
-        own) fixed; with cost, one price pair per edge as Graph.cost, a
+        """One orientation flow with y narrowed to [lo_y, hi_y] (either
+        side optional, an infinite bound meaning none; pinned when
+        lo_y = hi_y) and the sums of blocks (default: the oracle's own)
+        fixed; with cost, one price pair per edge as Graph.cost, a
         cheapest one.  The flow counts the copies of each edge headed at
         v; a witness is a node set of G, the nodes whose in-degree box is
         empty when there are some."""
@@ -442,9 +444,11 @@ class OrientationOracle(SetFunctionOracle):
         lo, hi = self.lo, self.hi
         if lo_y is not None:
             lo = np.concatenate((np.maximum(lo[:k], self.base + lo_y), lo[k:]))
+        if hi_y is not None:
             hi = np.concatenate((np.minimum(hi[:k], self.base + hi_y), hi[k:]))
         if np.any(lo > hi):
             return FlowResult(None, witness=frozenset(np.flatnonzero(lo > hi).tolist()))
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
         blocks = self.blocks if blocks is None else blocks
         if blocks is not None:
             blocks = [(nodes, total + int(self.base[list(nodes)].sum())) for nodes, total in blocks]
@@ -461,30 +465,43 @@ class OrientationOracle(SetFunctionOracle):
         return np.array(indeg[: self._n], dtype=np.int64) - self.base
 
     def walk(self, R, y) -> _ResidualWalk:
-        """The walk of y on R, the residual network of a flow realising it."""
+        """The walk of y on R, the residual network of a flow realising it;
+        with two blocks or more, each tight set keeps to its block."""
         k = self._n
-        return _ResidualWalk(R, y, self.lo[:k] - self.base, self.hi[:k] - self.base)
+        block = [0] * k
+        for i, (nodes, _) in enumerate(self.blocks or ()):
+            for v in nodes:
+                block[v] = i
+        lo, hi = self.lo[:k] - self.base, self.hi[:k] - self.base
+        return _ResidualWalk(R, y, lo, hi, block=block if any(block) else None)
 
     def value(self, mask: int):
         if mask not in self._memo:
             mark = [mask >> v & 1 for v in range(self._n)] + [0] * (self.nodes - self._n)
             res = self.flow(cost=[(mark[u], mark[v]) for u, v in self.edges])
             if not res.feasible:
-                raise EmptyBaseError("no orientation meets the bounds", witness=res.witness)
+                raise InfeasibleOrientationError("no orientation meets the bounds", res.witness)
             self._memo[mask] = int(self.y(res.flow) @ mark[: self._n])
         return self._memo[mask]
 
 
-def _flow_realise(B: BaseHandle, y):
-    """The walk on the residual network of the flow pinning y, or None
-    unless y is realisable with y(S) = p(S): unless blocks or k = n fix
-    y(S), the nodes past the first k realise larger sums too."""
-    oracle = B.oracle
-    res = oracle.flow(y, y)
-    free = oracle.blocks is None and oracle.n < oracle.nodes
-    if not res.feasible or (free and int(y.sum()) != oracle.value(oracle.full_mask)):
-        return None
-    return oracle.walk(res.residual, y.tolist())
+def _flow_start(B: BaseHandle, lo, hi) -> _ResidualWalk:
+    """The walk of one orientation flow with lo <= y <= hi on its own
+    residual network (walk_on).  Unless blocks or k = n fix y(S), the
+    nodes past the first k realise larger sums too: an unpinned start
+    then prices each copy headed at a ground node, and y(S) = p(S) must
+    hold in the box."""
+    oracle, k = B.oracle, B.oracle.n
+    free = oracle.blocks is None and k < oracle.nodes
+    pinned = lo is not None and hi is not None and np.array_equal(lo, hi)
+    cost = [(int(u < k), int(v < k)) for u, v in oracle.edges] if free and not pinned else None
+    res = oracle.flow(lo, hi, cost=cost)
+    if not res.feasible:
+        raise InfeasibleOrientationError("no orientation meets the bounds", res.witness)
+    walk = walk_on(oracle, res)
+    if free and (lo is not None or hi is not None) and sum(walk.m) != oracle.value(oracle.full_mask):
+        raise EmptyBaseError("the box holds no member of least sum")
+    return walk
 
 
 class GraphInducedOracle(OrientationOracle):
@@ -513,8 +530,8 @@ class GraphInducedOracle(OrientationOracle):
         )
 
 
-register_reader(OrientationOracle.kind, _flow_realise)
-register_reader(GraphInducedOracle.kind, _flow_realise)
+register_reader(OrientationOracle.kind, _flow_start)
+register_reader(GraphInducedOracle.kind, _flow_start)
 
 
 def walk_on(oracle: OrientationOracle, first: FlowResult) -> _ResidualWalk:
@@ -536,18 +553,6 @@ def cheapest_flow(oracle: OrientationOracle, walk: _ResidualWalk, cost) -> FlowR
     return res
 
 
-def _bounded_walk(G: Graph, lo, hi):
-    """(oracle, walk) of an in-degree-bounded orientation of G: one
-    feasibility flow, walked on its own residual network."""
-    oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
-    first = oracle.flow()
-    if not first.feasible:
-        raise InfeasibleOrientationError(
-            "no in-degree-bounded orientation exists", witness=first.witness
-        )
-    return oracle, walk_on(oracle, first)
-
-
 def _resolve_bounds(G: Graph, lower, upper):
     deg = G.degrees()
     lo = np.zeros(G.n, dtype=np.int64)
@@ -561,6 +566,11 @@ def _resolve_bounds(G: Graph, lower, upper):
     return lo, hi
 
 
+def _bounded(G: Graph, lower=None, upper=None, blocks=None) -> OrientationOracle:
+    """The in-degree-bounded orientations of G as an orientation oracle."""
+    return OrientationOracle(G.n, G.edges, None, *_resolve_bounds(G, lower, upper), blocks=blocks)
+
+
 def decmin_orientation(G: Graph) -> Orientation:
     """Orientation whose in-degree vector is decreasingly minimal: reverse
     any dipath whose end in-degree exceeds its start in-degree by 2+."""
@@ -570,8 +580,7 @@ def decmin_orientation(G: Graph) -> Orientation:
 
 def decmin_orientation_bounded(G: Graph, lower=None, upper=None) -> Orientation:
     """Dec-min among orientations with f(v) <= indeg(v) <= g(v)."""
-    lo, hi = _resolve_bounds(G, lower, upper)
-    walk = _bounded_walk(G, lo, hi)[1]
+    walk = start(BaseHandle(_bounded(G, lower, upper)))
     tighten(walk)
     return _oriented(G, _toward_v(walk.R, G.m))
 
@@ -603,9 +612,7 @@ def orientation_canonical(
     orientation of the in-degree-bounded orientations of G, whose smallest
     tight sets are reachability sets of one orientation flow; raises
     NotDecMinOrientationError unless its in-degrees are a dec-min member."""
-    lo, hi = _resolve_bounds(G, lower, upper)
-    oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
-    return canonical_from_decmin(BaseHandle(oracle), orient.indeg)
+    return canonical_from_decmin(BaseHandle(_bounded(G, lower, upper)), orient.indeg)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +643,8 @@ def cheapest_decmin_orientation_bounded(
         cost = G.cost
     if cost is None:
         cost = [(0, 0)] * G.m
-    oracle, walk = _bounded_walk(G, *_resolve_bounds(G, lower, upper))
+    oracle = _bounded(G, lower, upper)
+    walk = start(BaseHandle(oracle))
     tighten(walk)
     return _oriented(G, cheapest_flow(oracle, walk, cost).flow)
 
@@ -657,7 +665,7 @@ def inout_decmin_orientation(G: Graph) -> Optional[Orientation]:
     vector of an answer iff x and deg - x both keep its small box and its
     block sums.  That is one orientation flow, with the two boxes
     intersected, once deg(S_i) is twice the sum on every block S_i."""
-    walk = _bounded_walk(G, *_resolve_bounds(G, None, None))[1]
+    walk = start(BaseHandle(_bounded(G)))
     tighten(walk)
     D = canonical_from_tight_sets(np.array(walk.m, dtype=np.int64), walk)
     lower, upper, blocks = decmin_description(D)
@@ -678,42 +686,17 @@ def decmin_orientation_minT(G: Graph, lower, upper, t_set) -> Orientation:
     """Among (f, g)-bounded orientations minimizing the total in-degree of
     T, a dec-min one.
 
-    First reverse s->t dipaths (s outside T below its upper bound, t in T
-    above its lower bound) until the in-degree of T is minimum; the nodes
-    reaching an unsaturated T-node then form the set X_T whose edges to the
-    outside get frozen, and dec-min improvement continues on both sides of
-    the frozen cut independently."""
-    t_set = frozenset(int(v) for v in t_set)
-    lo, hi = _resolve_bounds(G, lower, upper)
-    walk = _bounded_walk(G, lo, hi)[1]
-    R, deg = walk.R, walk.m
-    while True:
-        pair = next(
-            ((min(walk(t) - t_set), t) for t in sorted(t_set) if walk(t) - t_set),
-            None,
-        )
-        if pair is None:
-            break
-        walk.step(*pair)
-    xt = np.zeros(G.n, dtype=bool)
-    for t in sorted(t_set):
-        if deg[t] > lo[t]:
-            xt |= R.reach(t)[: G.n]
-    in_t = np.isin(np.arange(G.n), list(t_set))
-    f2 = np.where(xt & ~in_t, hi, lo)
-    g2 = np.where(in_t & ~xt, lo, hi)
-    # freeze the X_T cut: its arcs carry nothing while both sides improve
-    frozen = [
-        (a, R.res[a])
-        for j, (u, v) in enumerate(G.edges) if xt[u] != xt[v]
-        for a in (2 * j, 2 * j + 1)
-    ]
-    for a, _ in frozen:
-        R.res[a] = 0
-    tighten(_ResidualWalk(R, deg, f2, g2))
-    for a, c in frozen:
-        R.res[a] = c
-    return _oriented(G, _toward_v(R, G.m))
+    The least in-degree of T is the bounded oracle's p(T), one min-cost
+    flow; the orientations reaching it keep the in-degree sums of T and
+    of V - T, so one orientation flow with those two block sums starts
+    the walk, whose tight sets keep to their block."""
+    t_set = sorted(set(int(v) for v in t_set))
+    least = _bounded(G, lower, upper).value(mask_of(t_set))
+    rest = [v for v in range(G.n) if v not in t_set]
+    blocks = [(t_set, least), (rest, G.m - least)]
+    walk = start(BaseHandle(_bounded(G, lower, upper, blocks)))
+    tighten(walk)
+    return _oriented(G, _toward_v(walk.R, G.m))
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,28 @@ class TestRootVectors:
         B = BaseHandle(RootVectorOracle(30, arcs, 2))
         assert duality_gap(B, m, canonical_from_decmin(B, m).pi_star).gap == 0
 
+    def test_greedy_start_runs_a_flow_per_node(self, monkeypatch):
+        # each greedy prefix lowers one more node from the supplies kept
+        # for the prefix before it: n flows, then n per tight-set read
+        from decmin import netflow
+
+        calls = []
+        max_flow = netflow._max_flow
+
+        def counted(*args):
+            calls.append(args[3])
+            return max_flow(*args)
+
+        monkeypatch.setattr(netflow, "_max_flow", counted)
+        rng = random.Random(41)  # a Hamiltonian cycle makes it 2-edge-connected
+        order = rng.sample(range(100), 100)
+        edges = [(order[i - 1], order[i]) for i in range(100)]
+        edges += [tuple(rng.sample(range(100), 2)) for _ in range(200)]
+        arcs = edges + [(v, u) for u, v in edges]
+        m = decmin_root_vector(Digraph(100, arcs, np.ones(len(arcs), np.int64)), 2)
+        assert len(calls) <= 5 * 100
+        assert m.min() >= 0 and int(m.sum()) == 2 and m.max() == 1
+
     def test_nodes_short_of_in_arcs_are_infeasible_at_scale(self):
         # both directions of 600 random edges on 200 nodes: a node v with
         # fewer than 2 in-arcs needs 2 - indeg(v) roots, more than 2 in all

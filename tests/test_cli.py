@@ -158,6 +158,17 @@ def test_matroid_sum_infeasible_box_carries_witness(tmp_path, capsys):
     assert json.loads(out)["witness"] == [2]
 
 
+def test_decmin_on_a_table_with_no_member_is_infeasible(tmp_path, capsys):
+    # p({0}) + p({1}) > p({0, 1}): no vector meets the table, and the
+    # empty set is reported like every other command's
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "values": {"1": 1, "2": 1, "3": 1}}')
+    code, out, err = run_cli(["decmin", "--table", str(path)], capsys)
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["infeasible"] and doc["witness"] == []
+
+
 def test_verify_says_when_it_checks_nothing(tmp_path, capsys):
     # a 15-cycle is past the 2^m scan: the answer stands, stderr says so
     path = tmp_path / "c15.g"

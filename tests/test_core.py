@@ -13,6 +13,7 @@ from decmin.core import (
     EmptyBaseError,
     GroundSet,
     Ordering,
+    SetFunctionOracle,
     TableOracle,
     box_intersection_feasible,
     complement,
@@ -491,20 +492,30 @@ class TestBoxedFunction:
                 assert err.value.witness == {1 if lo else 0}
 
     def test_boxed_handle_past_the_ceiling_allocates_nothing_first(self, monkeypatch):
+        # a boxed graph-induced cycle past the ceiling solves by its flow
+        # start, every in-degree 1; a set function with no start of its
+        # own meets the ceiling before the 2^n boxed table is allocated
         import tracemalloc
+
+        class NoStart(SetFunctionOracle):
+            def value(self, mask):
+                return bin(mask).count("1")
 
         monkeypatch.delenv("DECMIN_BRUTE_CEILING", raising=False)
         n = 24
         g = GraphInducedOracle(n, [(v, (v + 1) % n) for v in range(n)])
-        B = BaseHandle(g, upper=np.full(n, 3))
         tracemalloc.start()
         try:
+            m = basic_decmin(BaseHandle(g, upper=np.full(n, 3)))
+            solved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             with pytest.raises(CeilingExceeded):
-                basic_decmin(B)
+                basic_decmin(BaseHandle(NoStart(n), upper=np.full(n, 3)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert m.tolist() == [1] * n
+        assert solved < 16 * 2**20 and peak < 16 * 2**20
 
 
 class TestEnumeration:

@@ -3,6 +3,7 @@ import pytest
 
 from decmin.core import (
     BaseHandle,
+    EmptyBaseError,
     TableOracle,
     enumerate_integral_points,
     brute_decmin_set,
@@ -12,7 +13,6 @@ from decmin.core import (
     value_equivalent,
 )
 from decmin.engine import (
-    EmptyBaseError,
     NoGoodMuError,
     basic_decmin,
     beta_covered_member,
@@ -186,6 +186,16 @@ class TestBetaCovered:
     def test_too_small_beta(self):
         with pytest.raises(EmptyBaseError):
             beta_covered_member(util.r62_handle(), 2)
+
+    def test_beta_below_a_lower_bound_names_that_element(self):
+        # the box x <= beta meets the handle's own box, whose lower bound
+        # 3 on element 2 lies above beta = 2
+        handle = BaseHandle(util.r62_handle().oracle, lower=[0, 0, 3, 0])
+        m = beta_covered_member(handle, 3)
+        assert is_member(handle, m) and m.max() <= 3
+        with pytest.raises(EmptyBaseError) as info:
+            beta_covered_member(handle, 2)
+        assert info.value.witness == {2}
 
     def test_too_small_beta_names_a_violated_set(self):
         # below beta_1 the witness X has p(X) > beta |X|

@@ -428,18 +428,35 @@ class TestMinT:
         assert sorted_dec(o3.indeg) == (1, 1, 1, 1)
 
     def test_brute_random(self):
-        rng = np.random.default_rng(29)
+        # each instance unbounded and with random in-degree bounds, which
+        # leave no orientation at all now and then
+        rng, pick = np.random.default_rng(29), np.random.default_rng(31)
+        solved = infeasible = 0
         for _ in range(12):
             G = util.random_multigraph(rng, max_nodes=5, max_edges=8)
             t_size = int(rng.integers(1, G.n + 1))
             T = set(int(v) for v in rng.choice(G.n, size=t_size, replace=False))
-            scan = util.orientation_scan(G)
-            tsums = scan[:, sorted(T)].sum(axis=1)
-            keep = tsums == tsums.min()
-            _, best = util.decmin_rows(scan[keep])
-            got = decmin_orientation_minT(G, None, None, T)
-            assert int(got.indeg[sorted(T)].sum()) == int(tsums.min())
-            assert sorted_dec(got.indeg) == best
+            deg = G.degrees()
+            lo = pick.integers(0, deg // 2 + 2)
+            hi = np.maximum(lo, deg - pick.integers(0, 3, size=G.n))
+            for lower, upper in ((None, None), (lo, hi)):
+                scan = util.orientation_scan(G)
+                if lower is not None:
+                    scan = scan[((scan >= lower) & (scan <= upper)).all(axis=1)]
+                if not len(scan):
+                    with pytest.raises(InfeasibleOrientationError):
+                        decmin_orientation_minT(G, lower, upper, T)
+                    infeasible += 1
+                    continue
+                tsums = scan[:, sorted(T)].sum(axis=1)
+                keep = tsums == tsums.min()
+                _, best = util.decmin_rows(scan[keep])
+                got = decmin_orientation_minT(G, lower, upper, T)
+                assert lower is None or ((lower <= got.indeg) & (got.indeg <= upper)).all()
+                assert int(got.indeg[sorted(T)].sum()) == int(tsums.min())
+                assert sorted_dec(got.indeg) == best
+                solved += 1
+        assert solved >= 18 and infeasible >= 1
 
 
 class TestKConnected:

@@ -209,6 +209,46 @@ def test_reader_matches_table_scan(kind, monkeypatch):
     assert zero_entries
 
 
+def _start_or_none(B, lo, hi):
+    try:
+        return core.start(B, lo, hi)
+    except core.EmptyBaseError:
+        return None
+
+
+@pytest.mark.parametrize("kind", sorted(core._READERS))
+def test_start_matches_the_table_start(kind):
+    # over random boxes near a dec-min member, one-sided, two-sided and
+    # pinned, given to start and, in the later half, met with a box on the
+    # handle whose lower bound is the tighter one: the kind's start finds
+    # a member exactly when the table's start does, inside the box
+    rng, pick = np.random.default_rng(59), np.random.default_rng(67)
+    found = missed = 0
+    for oracle in INSTANCES[kind](rng):
+        n = oracle.n
+        table = TableOracle([oracle.value(x) for x in range(1 << n)])
+        m = basic_decmin(BaseHandle(table))
+        for trial in range(8):
+            lo = m - pick.integers(-1, 3, size=n)
+            hi = np.maximum(lo, m + pick.integers(-1, 3, size=n))
+            lo, hi = [(lo, hi), (None, hi), (lo, None), (lo, lo)][trial % 4]
+            own, given = {}, (lo, hi)
+            if trial >= 4:
+                own = {"lower": lo, "upper": None if hi is None else hi + 1}
+                given = (None if lo is None else lo - 1, hi)
+            B, ref = BaseHandle(oracle, **own), BaseHandle(table, **own)
+            got, want = _start_or_none(B, *given), _start_or_none(ref, *given)
+            assert (got is None) == (want is None)
+            if got is None:
+                missed += 1
+                continue
+            x = np.array(got.m, dtype=np.int64)
+            assert (lo is None or (x >= lo).all()) and (hi is None or (x <= hi).all())
+            assert is_member(B, x) and is_member(ref, x)
+            found += 1
+    assert found >= 20 and missed >= 5
+
+
 def test_non_members_raise():
     # no reader exists for a vector outside the set, so nothing is read
     # off a table for it
@@ -460,6 +500,41 @@ def test_flow_backed_solves_run_a_fixed_number_of_flows(monkeypatch):
         heads = np.bincount([v for _, v in G.edges], minlength=G.n)
         assert solve(basic_decmin, B, heads)[0] == {"feasible": 1}
     assert all(len(steps) >= 3 for steps in seen.values()), seen
+
+
+def test_flow_kinds_start_by_one_flow(monkeypatch):
+    # without a given start, a bounded orientation handle on 200 nodes and
+    # a boxed graph-induced one on 30 each solve by one flow and build no
+    # 2^n table; the answers are dec-min members
+    import random
+
+    def no_table(self):
+        raise AssertionError("a 2^n table was built")
+
+    flows = []
+    for name in ("feasible_m_flow", "min_cost_flow"):
+        fn = getattr(netflow, name)
+        monkeypatch.setattr(netflow, name, lambda P, fn=fn: flows.append(P) or fn(P))
+    rng = random.Random(7)
+    handles = []
+    for n, mm in ((200, 1000), (30, 90)):
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(mm - n + 1)]
+        deg = Graph(n, edges).degrees()
+        if n == 200:
+            lo = np.array([rng.randint(0, d // 2) for d in deg.tolist()])
+            hi = np.array([rng.randint((d + 1) // 2, d) for d in deg.tolist()])
+            handles.append(BaseHandle(OrientationOracle(n, edges, None, lo, hi)))
+        else:
+            handles.append(BaseHandle(Graph(n, edges).induced_oracle(), upper=np.full(n, 4)))
+    for B in handles:
+        flows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(core.SetFunctionOracle, "table", no_table)
+            m = basic_decmin(B)
+        assert len(flows) == 1
+        assert B.in_box(m) and is_member(B, m)
+        assert tightening_pair(m, tight_sets(B, m)) is None
 
 
 # ---------------------------------------------------------------------------
