@@ -12,11 +12,11 @@ from decmin import (
     TableOracle,
     basic_decmin,
     dec_compare,
-    enumerate_integral_points,
     inc_compare,
     measures,
     strongly_poly_decmin,
 )
+from decmin.brute import points
 
 # ---------------------------------------------------------------------------
 # 1. comparing vectors by sorted components
@@ -33,8 +33,7 @@ print()
 #    masks index subsets: value[0b11] is the whole two-element ground set
 # ---------------------------------------------------------------------------
 B = BaseHandle(TableOracle([0, 0, 0, 1]))
-points = enumerate_integral_points(B)
-print("integral points of the toy base-polyhedron:", points.points.tolist())
+print("integral points of the toy base-polyhedron:", points(B).tolist())
 
 m_basic = basic_decmin(B)
 m_strong = strongly_poly_decmin(B)
@@ -53,7 +52,7 @@ for mask in range(16):
     idx = [i for i in range(4) if mask >> i & 1]
     vals.append(int(pts[:, idx].sum(axis=1).min()) if idx else 0)
 B4 = BaseHandle(TableOracle(vals))
-print("points:", enumerate_integral_points(B4).points.tolist())
+print("points:", points(B4).tolist())
 best = strongly_poly_decmin(B4)
 print("dec-min element:", best)
 for p in pts:

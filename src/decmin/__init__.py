@@ -5,8 +5,6 @@ certificates, graph orientation solvers, matroid and flow applications."""
 from .core import (
     BaseHandle,
     EmptyBaseError,
-    EnumeratedSet,
-    GroundSet,
     NEG_INF,
     Ordering,
     SetFunctionOracle,
@@ -15,7 +13,6 @@ from .core import (
     complement,
     contract,
     dec_compare,
-    enumerate_integral_points,
     exchange_feasible,
     inc_compare,
     is_member,

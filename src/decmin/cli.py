@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import applications, canonical, core, engine, matroid, orientation
+from . import applications, brute, canonical, core, engine, matroid, orientation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,11 +57,11 @@ def _cmd_decmin(args) -> int:
 
 def _check_against_brute(B, m) -> None:
     try:
-        pts = core.enumerate_integral_points(B)
+        pts = brute.points(B)
     except core.CeilingExceeded as exc:
         _skip_verify(str(exc))
         return
-    _, best = core.brute_decmin_set(pts.points)
+    _, best = brute.decmin_rows(pts)
     if core.sorted_dec(m) != best:
         print("verification mismatch against brute force", file=sys.stderr)
         sys.exit(1)
@@ -150,42 +150,25 @@ def _skip_verify(reason: str) -> None:
     print(f"verification skipped: {reason}", file=sys.stderr)
 
 
-def _scan_orientations(G, lo, hi, k=0):
-    """(in-degree vector, orientation) for every feasible orientation."""
-    for code in range(1 << G.m):
-        heads = np.array(
-            [v if code >> j & 1 else u for j, (u, v) in enumerate(G.edges)],
-            dtype=np.int64,
-        )
-        orient = orientation.Orientation(G, heads)
-        deg = orient.indeg
-        if np.any(deg < lo) or np.any(deg > hi):
-            continue
-        if orientation._is_k_connected(orient, k):
-            yield deg, orient
-
-
 def _verify_orientation(G, orient, spec) -> None:
     if G.m > 14:
         _skip_verify(f"{G.m} edges, the 2^m scan stops at 14")
         return
     lo, hi = orientation._resolve_bounds(G, spec.lower, spec.upper)
-    rows = list(_scan_orientations(G, lo, hi, k=spec.connectivity))
+    heads, deg = brute.orientations(G, lo, hi, k=spec.connectivity)
     if spec.t_set is not None:
         t_list = sorted(spec.t_set)
-        tmin = min(int(deg[t_list].sum()) for deg, _ in rows)
-        rows = [(deg, o) for deg, o in rows if int(deg[t_list].sum()) == tmin]
-        if int(orient.indeg[t_list].sum()) != tmin:
+        tsum = deg[:, t_list].sum(axis=1)
+        tmin = min(tsum)
+        heads, deg = heads[tsum == tmin], deg[tsum == tmin]
+        if orient.indeg[t_list].sum() != tmin:
             _fail_verify("the 2^m scan (T in-degree not minimum)")
-    best = min(core.sorted_dec(deg) for deg, _ in rows)
+    sel, best = brute.decmin_rows(deg)
     if core.sorted_dec(orient.indeg) != best:
         _fail_verify("the 2^m scan")
     if spec.objective == "cheapest-decmin" and G.cost is not None:
-        want = min(
-            orientation.orientation_cost(o, G.cost)
-            for deg, o in rows
-            if core.sorted_dec(deg) == best
-        )
+        want = min(orientation.orientation_cost(orientation.Orientation(G, h), G.cost)
+                   for h in heads[sel])
         if orientation.orientation_cost(orient, G.cost) != want:
             _fail_verify("the 2^m scan (cost not minimum)")
 
@@ -195,45 +178,18 @@ def _verify_capacitated(G, cap) -> None:
     if expanded.m > 14:
         _skip_verify(f"{expanded.m} edge copies, the 2^m scan stops at 14")
         return
-    got = core.sorted_dec(cap.indeg)
-    want = core.sorted_dec(orientation.decmin_orientation(expanded).indeg)
-    if got != want:
+    _, best = brute.decmin_rows(brute.orientations(expanded)[1])
+    if core.sorted_dec(cap.indeg) != best:
         _fail_verify("the expanded graph")
 
 
 def _verify_semimatch(P, res) -> None:
-    import itertools
-
     caps = P.edge_caps if P.edge_caps is not None else np.ones(P.m, np.int64)
     if float(np.prod(caps + 1.0)) > 2**14:
         _skip_verify("more than 2^14 subgraphs to scan")
         return
-    best = None
-    for z in itertools.product(*[range(int(c) + 1) for c in caps]):
-        degS = np.zeros(P.n_left, dtype=np.int64)
-        degT = np.zeros(P.n_right, dtype=np.int64)
-        for (s, t), zz in zip(P.edges, z):
-            degS[s] += zz
-            degT[t] += zz
-        if P.t_degrees is not None:
-            if not (degT == P.t_degrees).all():
-                continue
-        elif P.lower_right is None and P.upper_right is None:
-            if not (degT == 1).all():
-                continue
-        if P.lower_right is not None and np.any(degT < np.asarray(P.lower_right)):
-            continue
-        if P.upper_right is not None and np.any(degT > np.asarray(P.upper_right)):
-            continue
-        if P.lower_left is not None and np.any(degS < np.asarray(P.lower_left)):
-            continue
-        if P.upper_left is not None and np.any(degS > np.asarray(P.upper_left)):
-            continue
-        if P.gamma is not None and sum(z) != P.gamma:
-            continue
-        sig = core.sorted_dec(degS)
-        best = sig if best is None or sig < best else best
-    if best is not None and core.sorted_dec(res.left_degrees) != best:
+    _, degs = brute.subgraphs(P)
+    if len(degs) and core.sorted_dec(res.left_degrees) != brute.decmin_rows(degs)[1]:
         _fail_verify("the exhaustive subgraph scan")
 
 
@@ -275,92 +231,40 @@ def _cmd_matroid_sum(args) -> int:
 
 
 def _verify_matroid_sum(mats, lower, upper, total) -> None:
-    import itertools
-
-    n = mats[0].n
-    families = []
-    count = 1
-    for M in mats:
-        fam = [
-            frozenset(c)
-            for c in itertools.combinations(range(n), M.rank())
-            if M.independent(c)
-        ]
-        families.append(fam)
-        count *= len(fam)
-        if count > 2**14:
-            _skip_verify("more than 2^14 basis tuples to scan")
-            return
-    best = None
-    for combo in itertools.product(*families):
-        vec = np.zeros(n, dtype=np.int64)
-        for b in combo:
-            for v in b:
-                vec[v] += 1
-        if lower is not None and np.any(vec < lower):
-            continue
-        if upper is not None and np.any(vec > upper):
-            continue
-        sig = core.sorted_dec(vec)
-        best = sig if best is None or sig < best else best
-    if best is not None and core.sorted_dec(total) != best:
+    try:
+        sums = brute.basis_sums(mats, limit=2**14)
+    except core.CeilingExceeded:
+        _skip_verify("more than 2^14 basis tuples to scan")
+        return
+    if lower is not None:
+        sums = sums[np.all(sums >= lower, axis=1)]
+    if upper is not None:
+        sums = sums[np.all(sums <= upper, axis=1)]
+    if len(sums) and core.sorted_dec(total) != brute.decmin_rows(sums)[1]:
         _fail_verify("the basis-tuple scan")
 
 
 def _verify_megiddo(P, res) -> None:
-    import itertools
-
-    from .netflow import net_in_flow
-
     D = P.digraph
     if float(np.prod(D.cap + 1.0)) > 2**14:
         _skip_verify("more than 2^14 arc flow vectors to scan")
         return
-    srcs = sorted(P.sources)
-    best = None
-    for z in itertools.product(*[range(int(c) + 1) for c in D.cap]):
-        psi = net_in_flow(D, np.array(z, np.int64))
-        if any(psi[v] > 0 for v in P.sources):
-            continue
-        if any(psi[v] < 0 for v in P.sinks):
-            continue
-        if any(
-            psi[v] != 0
-            for v in range(D.n)
-            if v not in P.sources and v not in P.sinks
-        ):
-            continue
-        total = -int(psi[srcs].sum())
-        if P.amount is not None and total != P.amount:
-            continue
-        # unset, the amount is the largest any flow sends
-        key = (total, core.sorted_inc(-psi[srcs]))
-        best = key if best is None or key > best else best
+    _, psi = brute.flows(D, P.sources, P.sinks)
+    out = -psi[:, sorted(P.sources)]
+    if P.amount is not None:
+        out = out[out.sum(axis=1) == P.amount]
+    # unset, the amount is the largest any flow sends
+    best = max(((int(x.sum()), core.sorted_inc(x)) for x in out), default=None)
     if best is not None and (int(res.outflow.sum()), core.sorted_inc(res.outflow)) != best:
         _fail_verify("the exhaustive flow scan")
 
 
 def _verify_rootvec(D, k, m) -> None:
-    import itertools
-
     if (k + 1) ** D.n > 2**14:
         _skip_verify("more than 2^14 root vectors to scan")
         return
-    best = None
-    for vec in itertools.product(range(k + 1), repeat=D.n):
-        if sum(vec) != k:
-            continue
-        ok = True
-        for mask in range(1, 1 << D.n):
-            X = [v for v in range(D.n) if mask >> v & 1]
-            indeg = sum(1 for u, v in D.arcs if v in X and u not in X)
-            if sum(vec[v] for v in X) < k - indeg:
-                ok = False
-                break
-        if ok:
-            sig = core.sorted_dec(vec)
-            best = sig if best is None or sig < best else best
-    if best is not None and core.sorted_dec(m) != best:
+    vecs = brute.root_vectors(D.n, D.arcs, k)
+    if len(vecs) and core.sorted_dec(m) != brute.decmin_rows(vecs)[1]:
         _fail_verify("the root-vector scan")
 
 
@@ -397,34 +301,14 @@ def _cmd_verify(args) -> int:
     failures = 0
     for case in range(args.count):
         n = int(rng.integers(2, 5))
-        oracle = _random_supermodular(rng, n)
-        B = core.BaseHandle(oracle)
-        pts = core.enumerate_integral_points(B)
-        _, best = core.brute_decmin_set(pts.points)
+        B = core.BaseHandle(brute.random_supermodular_table(rng, n))
+        _, best = brute.decmin_rows(brute.points(B))
         m1 = engine.strongly_poly_decmin(B)
         m2 = engine.basic_decmin(B)
         ok = core.sorted_dec(m1) == best == core.sorted_dec(m2)
         print(f"case {case}: {'pass' if ok else 'FAIL'}")
         failures += 0 if ok else 1
     return 1 if failures else 0
-
-
-def _random_supermodular(rng, n: int) -> core.TableOracle:
-    while True:
-        weights = rng.integers(-2, 3, size=n)
-        vals = [0.0] * (1 << n)
-        terms = []
-        for _ in range(int(rng.integers(1, 4))):
-            size = int(rng.integers(2, n + 1))
-            members = rng.choice(n, size=size, replace=False)
-            terms.append((core.mask_of(int(v) for v in members), int(rng.integers(1, 3))))
-        for mask in core.iter_masks(n):
-            total = sum(int(weights[v]) for v in range(n) if mask >> v & 1)
-            total += sum(a for tm, a in terms if mask & tm == tm)
-            vals[mask] = total
-        vals[0] = 0
-        if all(-4 <= v <= 4 for v in vals):
-            return core.TableOracle([int(v) for v in vals])
 
 
 def build_parser() -> _Parser:

@@ -26,9 +26,9 @@ at Edmonds' greedy member (_greedy).  Set functions that one network
 flow realises (OrientationOracle and its kinds, graph-induced sets among
 them) live with that flow, in orientation.
 
-This module also hosts the brute-force point enumeration
-(enumerate_integral_points) that the tests and the CLI's --verify scans
-use as a verification oracle.
+A 2^n table is built only up to SUBSET_CEILING elements.  The exhaustive
+point scans that check the solvers live in brute, which no solver
+imports.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -46,8 +45,7 @@ import numpy as np
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-DEFAULT_SUBSET_CEILING = 20
-DEFAULT_VOLUME_CEILING = 10**6
+SUBSET_CEILING = 20  # largest ground set whose 2^n values a table holds
 
 
 def __getattr__(name):
@@ -61,7 +59,7 @@ def __getattr__(name):
 
 
 class CeilingExceeded(RuntimeError):
-    """Raised when a brute-force scan would exceed the configured ceiling."""
+    """Raised when a 2^n table or an exhaustive scan would exceed its ceiling."""
 
 
 class EmptyBaseError(RuntimeError):
@@ -73,43 +71,9 @@ class EmptyBaseError(RuntimeError):
         self.witness = witness
 
 
-def subset_ceiling() -> int:
-    """Largest ground-set size for which 2^n subset scans are allowed."""
-    raw = os.environ.get("DECMIN_BRUTE_CEILING")
-    return int(raw) if raw else DEFAULT_SUBSET_CEILING
-
-
-def volume_ceiling() -> int:
-    """Largest number of lattice points an exhaustive point scan may touch."""
-    raw = os.environ.get("DECMIN_BRUTE_CEILING")
-    if raw:
-        return max(DEFAULT_VOLUME_CEILING, 2 ** int(raw))
-    return DEFAULT_VOLUME_CEILING
-
-
 # ---------------------------------------------------------------------------
-# ground set and integer vectors
+# integer vectors
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """A finite non-empty ground set with distinct external labels."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.labels) == 0:
-            raise ValueError("ground set must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def index(self, label) -> int:
-        return self.labels.index(label)
 
 
 def as_intvec(values: Sequence, n: Optional[int] = None) -> np.ndarray:
@@ -237,10 +201,8 @@ class SetFunctionOracle:
         """All 2^n values as a float array (cached).  Guarded by the subset
         ceiling since it materializes the whole lattice."""
         if self._table is None:
-            if self._n > subset_ceiling():
-                raise CeilingExceeded(
-                    f"n={self._n} exceeds subset ceiling {subset_ceiling()}"
-                )
+            if self._n > SUBSET_CEILING:
+                raise CeilingExceeded(f"n={self._n} exceeds subset ceiling {SUBSET_CEILING}")
             self._table = np.array(
                 [self.value(m) for m in iter_masks(self._n)], dtype=np.float64
             )
@@ -273,7 +235,7 @@ class TableOracle(SetFunctionOracle):
         return self._vals[mask]
 
     def table(self) -> np.ndarray:
-        if self._table is None and self._n <= subset_ceiling():
+        if self._table is None and self._n <= SUBSET_CEILING:
             self._table = np.array(self._vals, dtype=np.float64)
         return super().table()
 
@@ -562,10 +524,14 @@ def _table_tight(B: BaseHandle, m):
     """The subset scan: m is a member iff every subset sum reaches p and
     the full one equals it.  m + chi_s - chi_t is a member iff no m-tight
     set holds t and misses s, so T_m(t) is the intersection of the tight
-    masks containing t (the full set is one of them)."""
-    tab = B.oracle.table()
+    masks containing t (the full set is one of them).  m(S) = p(S) is
+    checked on exact ints first, since float sums round past 2^53."""
+    p = B.oracle
+    tab = p.table()
+    if sum(m.tolist()) != (p._vals[-1] if isinstance(p, TableOracle) else tab[-1]):
+        return None
     sums = subset_sums(m)
-    if sums[-1] != tab[-1] or not np.all(sums >= tab):
+    if not np.all(sums >= tab):
         return None
     masks = np.flatnonzero(sums == tab)
 
@@ -599,7 +565,7 @@ def register_membership(kind: str, member) -> None:
     membership query per element of each tight set beyond it."""
 
     def tight(B: BaseHandle, m):
-        if B.n <= subset_ceiling():
+        if B.n <= SUBSET_CEILING:
             return _table_tight(B, m)
         if not member(B, m):
             return None
@@ -692,105 +658,6 @@ def box_intersection_feasible(B: BaseHandle, lower, upper) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration (the verification oracle)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EnumeratedSet:
-    """Explicit list of the integral points of an M-convex set."""
-
-    points: np.ndarray  # shape (count, n)
-
-    def __post_init__(self):
-        if self.points.size and len({int(r.sum()) for r in self.points}) > 1:
-            raise ValueError("points of an M-convex set share a component sum")
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def natural_bounds(B: BaseHandle):
-    """Coordinatewise min/max of the set, from p and its complement, merged
-    with the handle's box."""
-    tab = B.oracle.table()
-    n = B.n
-    full = (1 << n) - 1
-    lo = np.array([tab[1 << v] for v in range(n)])
-    hi = np.array(
-        [
-            POS_INF if tab[full ^ (1 << v)] == NEG_INF
-            else tab[full] - tab[full ^ (1 << v)]
-            for v in range(n)
-        ]
-    )
-    if B.lower is not None:
-        lo = np.maximum(lo, B.lower)
-    if B.upper is not None:
-        hi = np.minimum(hi, B.upper)
-    return lo, hi
-
-
-def enumerate_integral_points(
-    B: BaseHandle, search_box=None
-) -> EnumeratedSet:
-    """Exhaustive scan for every integral point of B inside ``search_box``
-    (defaults to the natural coordinate bounds).  Desk-scale only."""
-    n = B.n
-    if search_box is not None:
-        lo = np.asarray(search_box[0], dtype=np.float64)
-        hi = np.asarray(search_box[1], dtype=np.float64)
-        blo, bhi = natural_bounds(B)
-        lo = np.maximum(lo, blo)
-        hi = np.minimum(hi, bhi)
-    else:
-        lo, hi = natural_bounds(B)
-    if np.any(np.isinf(lo)) or np.any(np.isinf(hi)):
-        raise CeilingExceeded("unbounded coordinate range; pass a search box")
-    lo = lo.astype(np.int64)
-    hi = hi.astype(np.int64)
-    if np.any(hi < lo):
-        return EnumeratedSet(np.zeros((0, n), dtype=np.int64))
-    widths = hi - lo + 1
-    volume = int(np.prod(widths.astype(np.float64)))
-    if volume > volume_ceiling():
-        raise CeilingExceeded(f"search volume {volume} exceeds ceiling")
-    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)],
-                        indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    tab = B.oracle.table()
-    maskmat = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(np.float64)
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    chunk = 4096
-    for i in range(0, pts.shape[0], chunk):
-        block = pts[i : i + chunk].astype(np.float64)
-        sums = block @ maskmat
-        ok = np.all(sums >= tab[None, :], axis=1) & (sums[:, -1] == tab[-1])
-        keep[i : i + chunk] = ok
-    pts = pts[keep]
-    if B.lower is not None:
-        pts = pts[np.all(pts >= B.lower[None, :], axis=1)]
-    if B.upper is not None:
-        pts = pts[np.all(pts <= B.upper[None, :], axis=1)]
-    order = np.lexsort(pts.T[::-1]) if pts.size else np.arange(0)
-    return EnumeratedSet(pts[order])
-
-
-def brute_decmin_set(points: np.ndarray):
-    """All dec-min elements of an enumerated set plus the optimal sorted
-    signature; the independent oracle for the solvers."""
-    if points.shape[0] == 0:
-        raise EmptyBaseError("no integral points")
-    signatures = [sorted_dec(row) for row in points]
-    best = min(signatures)
-    sel = np.array([sig == best for sig in signatures])
-    return points[sel], best
-
-
-# ---------------------------------------------------------------------------
 # explicit-table JSON interface
 # ---------------------------------------------------------------------------
 
@@ -813,13 +680,13 @@ def text_parser(fn):
 def load_table_json(text: str) -> TableOracle:
     """Set-function table format: {"n": k, "values": {"<mask>": int|"-inf"}}.
     Missing masks default to -inf except the empty set, which is 0; n must
-    lie in 1..subset_ceiling(), checked before the 2^n values exist."""
+    lie in 1..SUBSET_CEILING, checked before the 2^n values exist."""
     doc = json.loads(text)
     n = int(doc["n"])
     if n < 1:
         raise ValueError(f"a table needs n >= 1, not {n}")
-    if n > subset_ceiling():
-        raise CeilingExceeded(f"a table on n={n} exceeds subset ceiling {subset_ceiling()}")
+    if n > SUBSET_CEILING:
+        raise CeilingExceeded(f"a table on n={n} exceeds subset ceiling {SUBSET_CEILING}")
     vals = [NEG_INF] * (1 << n)
     vals[0] = 0
     for key, raw in doc.get("values", {}).items():
@@ -829,12 +696,3 @@ def load_table_json(text: str) -> TableOracle:
         vals[mask] = NEG_INF if raw == "-inf" else int(raw)
     return TableOracle(vals)
 
-
-def dump_table_json(p: SetFunctionOracle) -> str:
-    values = {}
-    for mask in iter_masks(p.n):
-        v = p.value(mask)
-        if mask == 0:
-            continue
-        values[str(mask)] = "-inf" if v == NEG_INF else int(v)
-    return json.dumps({"n": p.n, "values": values})

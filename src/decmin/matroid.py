@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -127,16 +126,6 @@ def bases_matroid(n: int, bases: Sequence) -> MatroidOracle:
     return MatroidOracle(n, indep, "explicit-bases")
 
 
-def dual_matroid(M: MatroidOracle) -> MatroidOracle:
-    full = M.rank()
-    ground = frozenset(range(M.n))
-
-    def indep(X):
-        return M.rank(ground - X) == full
-
-    return MatroidOracle(M.n, indep, f"dual({M.name})")
-
-
 def from_decomposition_matroid(
     D: CanonicalDecomposition, B: BaseHandle, i: int
 ) -> tuple:
@@ -173,28 +162,8 @@ def from_decomposition_matroid(
 
 
 # ---------------------------------------------------------------------------
-# matroid intersection and greedy bases
+# matroid intersection
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CommonBasisProblem:
-    """Two matroid oracles on one ground set; solved by intersection."""
-
-    first: MatroidOracle
-    second: MatroidOracle
-
-    def __post_init__(self):
-        if self.first.n != self.second.n:
-            raise ValueError("matroids must share a ground set")
-
-
-def common_basis(problem: CommonBasisProblem):
-    """A common basis of the two matroids, or None when sizes fall short."""
-    got = matroid_intersection(problem.first, problem.second)
-    if len(got) == problem.first.rank() == problem.second.rank():
-        return got
-    return None
 
 
 def matroid_intersection(M1: MatroidOracle, M2: MatroidOracle) -> frozenset:
@@ -252,21 +221,6 @@ def matroid_intersection(M1: MatroidOracle, M2: MatroidOracle) -> frozenset:
             v = prev[v]
         I ^= set(path)
     return frozenset(I)
-
-
-def min_cost_basis(M: MatroidOracle, cost) -> frozenset:
-    """Greedy minimum-cost basis (ascending cost, ties by index)."""
-    cost = list(cost)
-    if len(cost) != M.n:
-        raise ValueError("one cost per element required")
-    order = sorted(range(M.n), key=lambda v: (cost[v], v))
-    cur: set = set()
-    for v in order:
-        if M.independent(cur | {v}):
-            cur.add(v)
-    if len(cur) != M.rank():
-        raise ValueError("matroid has no basis of full rank")
-    return frozenset(cur)
 
 
 # ---------------------------------------------------------------------------

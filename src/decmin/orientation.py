@@ -53,7 +53,6 @@ from .core import (
 )
 from .canonical import (
     CanonicalDecomposition,
-    NotDecMinError,
     canonical_from_decmin,
     canonical_from_tight_sets,
     decmin_description,
@@ -64,9 +63,6 @@ from .netflow import Digraph, FlowProblem, FlowResult, arc_disjoint_paths_at_lea
 
 class InfeasibleOrientationError(EmptyBaseError):
     """No orientation satisfies the requirements; carries a witness set."""
-
-
-NotDecMinOrientationError = NotDecMinError
 
 
 def _check_edges(n, edges) -> None:
@@ -611,7 +607,7 @@ def orientation_canonical(
     """Canonical chain/partition/value-sequence read off a dec-min
     orientation of the in-degree-bounded orientations of G, whose smallest
     tight sets are reachability sets of one orientation flow; raises
-    NotDecMinOrientationError unless its in-degrees are a dec-min member."""
+    canonical.NotDecMinError unless its in-degrees are a dec-min member."""
     return canonical_from_decmin(BaseHandle(_bounded(G, lower, upper)), orient.indeg)
 
 

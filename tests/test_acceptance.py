@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from decmin import brute
 from decmin.applications import SemiMatchingProblem, decmin_semimatching
 from decmin.canonical import (
     canonical_from_decmin,
@@ -21,7 +22,6 @@ from decmin.core import (
     BaseHandle,
     Ordering,
     dec_compare,
-    enumerate_integral_points,
     inc_compare,
     k_largest_sum,
     sorted_dec,
@@ -38,6 +38,7 @@ from decmin.matroid import bases_matroid, matroid_intersection
 from decmin.orientation import (
     Graph,
     InfeasibleOrientationError,
+    Orientation,
     capacitated_decmin_orientation,
     cheapest_decmin_orientation_bounded,
     decmin_korient,
@@ -64,19 +65,19 @@ def corpus():
     records = []
     for _ in range(160):
         n = int(rng.integers(2, 6))
-        oracle = util.random_supermodular_table(rng, n)
+        oracle = brute.random_supermodular_table(rng, n)
         handle = BaseHandle(oracle)
-        pts = enumerate_integral_points(handle).points
+        pts = brute.points(handle)
         records.append({"kind": "table", "handle": handle, "points": pts, "n": n})
     for _ in range(160):
         G = util.random_multigraph(rng, max_nodes=7, max_edges=12)
         handle = BaseHandle(G.induced_oracle())
-        pts = np.unique(util.orientation_scan(G), axis=0)
+        pts = np.unique(brute.orientations(G)[1], axis=0)
         records.append(
             {"kind": "graph", "handle": handle, "points": pts, "n": G.n, "graph": G}
         )
     for rec in records:
-        sel, best = util.decmin_rows(rec["points"])
+        sel, best = brute.decmin_rows(rec["points"])
         rec["dec_sel"] = sel
         rec["dec_best"] = best
     return records
@@ -197,10 +198,10 @@ def test_criterion_7_newton_dinkelbach(corpus):
 
 def test_criterion_8_section34_regression():
     b1 = BaseHandle(util.table_from_points(util.SEC34_B1_POINTS))
-    got1 = {tuple(p) for p in enumerate_integral_points(b1).points}
+    got1 = {tuple(p) for p in brute.points(b1)}
     assert got1 == {tuple(p) for p in util.SEC34_B1_POINTS}
     b2 = BaseHandle(util.table_from_points(util.SEC34_B2_POINTS))
-    got2 = {tuple(p) for p in enumerate_integral_points(b2).points}
+    got2 = {tuple(p) for p in brute.points(b2)}
     assert got2 == {tuple(p) for p in util.SEC34_B2_POINTS}
     x, y = (2, 0, 0, 0), (1, -1, 1, 1)
     assert inc_compare(x, y) is Ordering.LARGER  # x inc-max of the pair
@@ -234,30 +235,30 @@ def test_criterion_10_orientations(orientation_corpus):
     t0 = time.time()
     rng = np.random.default_rng(99)
     for G in orientation_corpus:
-        scan = util.orientation_scan(G)
+        heads, scan = brute.orientations(G)
         lo0 = np.zeros(G.n, dtype=np.int64)
         hi0 = G.degrees()
         # plain dec-min + the local characterization in both directions
-        _, best = util.decmin_rows(scan)
+        _, best = brute.decmin_rows(scan)
         got = decmin_orientation(G)
         assert sorted_dec(got.indeg) == best
         assert not util.has_improving_dipath_brute(got, lo0, hi0)
-        for code in range(scan.shape[0]):
-            orient = util.orientation_from_code(G, code)
+        for h in heads:
+            orient = Orientation(G, h)
             is_opt = sorted_dec(orient.indeg) == best
             assert util.has_improving_dipath_brute(orient, lo0, hi0) == (not is_opt)
         # bounded variant with random feasible bounds
         deg = G.degrees()
         lo = np.minimum(rng.integers(0, 2, size=G.n), deg)
         hi = np.minimum(lo + rng.integers(0, 3, size=G.n), deg)
-        ok = np.all(scan >= lo, axis=1) & np.all(scan <= hi, axis=1)
-        if ok.any():
-            _, bbest = util.decmin_rows(scan[ok])
+        bheads, bscan = brute.orientations(G, lo, hi)
+        if len(bscan):
+            _, bbest = brute.decmin_rows(bscan)
             gotb = decmin_orientation_bounded(G, lo, hi)
             assert sorted_dec(gotb.indeg) == bbest
             assert not util.has_improving_dipath_brute(gotb, lo, hi)
-            for code in np.flatnonzero(ok):
-                orient = util.orientation_from_code(G, int(code))
+            for h in bheads:
+                orient = Orientation(G, h)
                 is_opt = sorted_dec(orient.indeg) == bbest
                 assert util.has_improving_dipath_brute(orient, lo, hi) == (
                     not is_opt
@@ -270,7 +271,7 @@ def test_criterion_10_orientations(orientation_corpus):
         T = sorted(int(v) for v in rng.choice(G.n, size=t_size, replace=False))
         tsums = scan[:, T].sum(axis=1)
         keep = tsums == tsums.min()
-        _, tbest = util.decmin_rows(scan[keep])
+        _, tbest = brute.decmin_rows(scan[keep])
         gott = decmin_orientation_minT(G, None, None, T)
         assert int(gott.indeg[T].sum()) == int(tsums.min())
         assert sorted_dec(gott.indeg) == tbest
@@ -278,21 +279,17 @@ def test_criterion_10_orientations(orientation_corpus):
         for k in (1, 2):
             if G.m > 8 and k == 2:
                 continue
-            feas = [
-                code
-                for code in range(scan.shape[0])
-                if util.is_k_connected_code(G, code, k)
-            ]
-            if not feas:
+            kheads, kscan = brute.orientations(G, k=k)
+            if not len(kscan):
                 with pytest.raises(InfeasibleOrientationError):
                     decmin_korient(G, k)
                 continue
-            _, kbest = util.decmin_rows(scan[feas])
+            _, kbest = brute.decmin_rows(kscan)
             gotk = decmin_korient(G, k)
             assert sorted_dec(gotk.indeg) == kbest
             assert not util.has_improving_dipath_brute(gotk, lo0, hi0, k)
-            for code in feas:
-                orient = util.orientation_from_code(G, int(code))
+            for h in kheads:
+                orient = Orientation(G, h)
                 is_opt = sorted_dec(orient.indeg) == kbest
                 assert util.has_improving_dipath_brute(
                     orient, lo0, hi0, k
@@ -315,12 +312,9 @@ def test_criterion_11_cheapest(corpus, orientation_corpus):
         assert int(np.dot(got, cost)) == want
     for G in orientation_corpus[:8]:
         cost = [tuple(int(x) for x in rng.integers(0, 6, size=2)) for _ in G.edges]
-        scan = util.orientation_scan(G)
-        sel, best = util.decmin_rows(scan)
-        want = min(
-            orientation_cost(util.orientation_from_code(G, int(code)), cost)
-            for code in np.flatnonzero(sel)
-        )
+        heads, scan = brute.orientations(G)
+        sel, best = brute.decmin_rows(scan)
+        want = min(orientation_cost(Orientation(G, h), cost) for h in heads[sel])
         got = cheapest_decmin_orientation_bounded(G, cost=cost)
         assert sorted_dec(got.indeg) == best
         assert orientation_cost(got, cost) == want
@@ -329,25 +323,22 @@ def test_criterion_11_cheapest(corpus, orientation_corpus):
 
 def test_criterion_12_semimatchings():
     rng = np.random.default_rng(31)
-    from test_applications import brute_semimatchings
-
     done = 0
     while done < 15:
         nl, nr, edges = util.random_bipartite(rng, 4, 3, 12)
         P = SemiMatchingProblem(nl, nr, edges)
-        feas = brute_semimatchings(P)
-        if not feas:
+        _, degs = brute.subgraphs(P)
+        if not len(degs):
             continue
         done += 1
         res = decmin_semimatching(P)
-        degs = np.stack([d for _, d in feas])
-        _, best = util.decmin_rows(degs)
+        _, best = brute.decmin_rows(degs)
         assert sorted_dec(res.left_degrees) == best
         harvey = lambda d: int(np.sum(d * (d + 1)))
-        best_h = min(harvey(d) for _, d in feas)
+        best_h = min(harvey(d) for d in degs)
         assert harvey(res.left_degrees) == best_h
-        assert {tuple(d) for _, d in feas if harvey(d) == best_h} == {
-            tuple(d) for _, d in feas if sorted_dec(d) == best
+        assert {tuple(d) for d in degs if harvey(d) == best_h} == {
+            tuple(d) for d in degs if sorted_dec(d) == best
         }
     two_user = decmin_semimatching(SemiMatchingProblem(2, 1, [(0, 0), (1, 0)]))
     assert value_equivalent(two_user.left_degrees, (1, 0))
@@ -367,7 +358,7 @@ def test_criterion_13_capacitated():
             continue
         done += 1
         got = capacitated_decmin_orientation(cap_graph)
-        _, best = util.decmin_rows(util.orientation_scan(expanded))
+        _, best = brute.decmin_rows(brute.orientations(expanded)[1])
         assert sorted_dec(got.indeg) == best
     e5 = Graph(2, [(0, 1)], ell=[5])
     assert sorted(capacitated_decmin_orientation(e5).indeg.tolist()) == [2, 3]

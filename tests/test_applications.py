@@ -1,9 +1,9 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
 
+from decmin import brute
 from decmin.applications import (
     InfeasibleProblemError,
     MegiddoOracle,
@@ -23,7 +23,6 @@ from decmin.core import (
     BaseHandle,
     EmptyBaseError,
     TableOracle,
-    enumerate_integral_points,
     sorted_dec,
     sorted_inc,
     value_equivalent,
@@ -32,35 +31,6 @@ from decmin.engine import basic_decmin, strongly_poly_decmin
 from decmin.netflow import Digraph, net_in_flow
 
 import util
-
-
-def brute_semimatchings(P: SemiMatchingProblem):
-    """All feasible multiplicity vectors by exhaustive scan."""
-    caps = P.edge_caps if P.edge_caps is not None else np.ones(P.m, np.int64)
-    out = []
-    for z in itertools.product(*[range(int(c) + 1) for c in caps]):
-        degS = np.zeros(P.n_left, dtype=np.int64)
-        degT = np.zeros(P.n_right, dtype=np.int64)
-        for (s, t), zz in zip(P.edges, z):
-            degS[s] += zz
-            degT[t] += zz
-        if P.t_degrees is not None and not (degT == P.t_degrees).all():
-            continue
-        if P.lower_right is not None and np.any(degT < P.lower_right):
-            continue
-        if P.upper_right is not None and np.any(degT > P.upper_right):
-            continue
-        if P.t_degrees is None and P.lower_right is None and P.upper_right is None:
-            if not (degT == 1).all():
-                continue
-        if P.lower_left is not None and np.any(degS < P.lower_left):
-            continue
-        if P.upper_left is not None and np.any(degS > P.upper_left):
-            continue
-        if P.gamma is not None and sum(z) != P.gamma:
-            continue
-        out.append((np.array(z, np.int64), degS))
-    return out
 
 
 class TestSemiMatching:
@@ -91,19 +61,19 @@ class TestSemiMatching:
         while done < 12:
             nl, nr, edges = util.random_bipartite(rng, 4, 3, 9)
             P = SemiMatchingProblem(nl, nr, edges)
-            feas = brute_semimatchings(P)
-            if not feas:
+            _, degs = brute.subgraphs(P)
+            if not len(degs):
                 continue
             done += 1
             res = decmin_semimatching(P)
-            _, best = util.decmin_rows(np.stack([d for _, d in feas]))
+            _, best = brute.decmin_rows(degs)
             assert sorted_dec(res.left_degrees) == best
             harvey = lambda d: int(np.sum(d * (d + 1)))
-            best_h = min(harvey(d) for _, d in feas)
+            best_h = min(harvey(d) for d in degs)
             assert harvey(res.left_degrees) == best_h
-            dec_set = {tuple(sorted_dec(d)) for _, d in feas if sorted_dec(d) == best}
+            dec_set = {tuple(sorted_dec(d)) for d in degs if sorted_dec(d) == best}
             harvey_set = {
-                tuple(sorted_dec(d)) for _, d in feas if harvey(d) == best_h
+                tuple(sorted_dec(d)) for d in degs if harvey(d) == best_h
             }
             assert dec_set == harvey_set
 
@@ -121,14 +91,14 @@ class TestSemiMatching:
                 upper_left=rng.integers(1, 4, size=nl),
                 gamma=int(rng.integers(1, 4)),
             )
-            feas = brute_semimatchings(P)
-            if not feas:
+            _, degs = brute.subgraphs(P)
+            if not len(degs):
                 with pytest.raises(InfeasibleProblemError):
                     decmin_semimatching(P)
                 continue
             done += 1
             res = decmin_semimatching(P)
-            _, best = util.decmin_rows(np.stack([d for _, d in feas]))
+            _, best = brute.decmin_rows(degs)
             assert sorted_dec(res.left_degrees) == best
             assert int(res.multiplicity.sum()) == P.gamma
 
@@ -144,14 +114,14 @@ class TestSemiMatching:
                 t_degrees=rng.integers(0, 3, size=nr),
                 edge_caps=rng.integers(1, 3, size=len(edges)),
             )
-            feas = brute_semimatchings(P)
-            if not feas:
+            _, degs = brute.subgraphs(P)
+            if not len(degs):
                 with pytest.raises(InfeasibleProblemError):
                     decmin_semimatching(P)
                 continue
             done += 1
             res = decmin_semimatching(P)
-            _, best = util.decmin_rows(np.stack([d for _, d in feas]))
+            _, best = brute.decmin_rows(degs)
             assert sorted_dec(res.left_degrees) == best
 
     def test_min_cost_variant_random(self):
@@ -161,16 +131,16 @@ class TestSemiMatching:
             nl, nr, edges = util.random_bipartite(rng, 3, 3, 7)
             cost = rng.integers(0, 5, size=len(edges))
             P = SemiMatchingProblem(nl, nr, edges, cost=cost)
-            feas = brute_semimatchings(P)
-            if not feas:
+            zs, degs = brute.subgraphs(P)
+            if not len(degs):
                 continue
             done += 1
             res = decmin_semimatching(P)
-            _, best = util.decmin_rows(np.stack([d for _, d in feas]))
+            _, best = brute.decmin_rows(degs)
             assert sorted_dec(res.left_degrees) == best
             want = min(
                 int(np.dot(z, cost))
-                for z, d in feas
+                for z, d in zip(zs, degs)
                 if sorted_dec(d) == best
             )
             assert res.cost == want
@@ -203,18 +173,18 @@ class TestSemiMatching:
                 edge_caps=rng.integers(1, 3, size=len(edges)),
                 cost=cost,
             )
-            feas = brute_semimatchings(P)
-            if not feas:
+            zs, degs = brute.subgraphs(P)
+            if not len(degs):
                 with pytest.raises(InfeasibleProblemError):
                     decmin_semimatching(P)
                 continue
             done += 1
             res = decmin_semimatching(P)
-            _, best = util.decmin_rows(np.stack([d for _, d in feas]))
+            _, best = brute.decmin_rows(degs)
             assert sorted_dec(res.left_degrees) == best
             if cost is not None:
                 assert res.cost == min(
-                    int(np.dot(z, cost)) for z, d in feas if sorted_dec(d) == best
+                    int(np.dot(z, cost)) for z, d in zip(zs, degs) if sorted_dec(d) == best
                 )
 
     def test_witness_is_a_node_set_of_the_graph(self):
@@ -268,7 +238,7 @@ class TestSemiMatching:
                 lower_left=rng.integers(0, 3, size=nl),
                 edge_caps=rng.integers(1, 3, size=len(edges)),
             )
-            if not brute_semimatchings(P):
+            if not len(brute.subgraphs(P)[1]):
                 check(P)
 
     def test_json_loader(self):
@@ -338,23 +308,8 @@ class TestMegiddo:
             assert (res.outflow == -psi[srcs]).all()
             assert int(res.outflow.sum()) == amount
             # brute force over all integral arc vectors
-            best = None
-            for zz in itertools.product(*[range(int(c) + 1) for c in caps]):
-                psi = net_in_flow(D, np.array(zz, np.int64))
-                if any(psi[v] > 0 for v in sources):
-                    continue
-                if any(psi[v] < 0 for v in sinks):
-                    continue
-                if any(
-                    psi[v] != 0
-                    for v in range(n)
-                    if v not in sources and v not in sinks
-                ):
-                    continue
-                if -int(psi[srcs].sum()) != amount:
-                    continue
-                sig = sorted_inc(-psi[srcs])
-                best = sig if best is None or sig > best else best
+            out = -brute.flows(D, sources, sinks)[1][:, srcs]
+            best = max(sorted_inc(x) for x in out if x.sum() == amount)
             assert sorted_inc(res.outflow) == best
 
     def test_amounts_match_a_max_flow_and_the_table_route(self):
@@ -402,25 +357,6 @@ class TestMegiddo:
             parse_megiddo("p digraph 3 2\na 1 3 1\na 2 3 1\nS: 0\nT: 3\n")
 
 
-def brute_root_vectors(n, arcs, k) -> list:
-    """Every vector with k roots in all that meets Edmonds' condition
-    m(X) >= k - rho(X) on every nonempty X, by exhaustive scan."""
-    feas = []
-    for vec in itertools.product(range(k + 1), repeat=n):
-        if sum(vec) != k:
-            continue
-        ok = True
-        for mask in range(1, 1 << n):
-            X = [v for v in range(n) if mask >> v & 1]
-            indeg = sum(1 for u, v in arcs if v in X and u not in X)
-            if sum(vec[v] for v in X) < k - indeg:
-                ok = False
-                break
-        if ok:
-            feas.append(vec)
-    return feas
-
-
 def random_digraph(rng, n, max_arcs):
     return [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
             for _ in range(int(rng.integers(0, max_arcs + 1)))]
@@ -466,14 +402,14 @@ class TestRootVectors:
             k = int(rng.integers(1, 3))
             D = Digraph(n, arcs, np.ones(m, np.int64))
             # brute feasibility and dec-min over root vectors
-            feas = [np.array(vec, np.int64) for vec in brute_root_vectors(n, arcs, k)]
+            feas = brute.root_vectors(n, arcs, k)
             done += 1
-            if not feas:
+            if not len(feas):
                 with pytest.raises(InfeasibleProblemError):
                     decmin_root_vector(D, k)
                 continue
             got = decmin_root_vector(D, k)
-            _, best = util.decmin_rows(np.stack(feas))
+            _, best = brute.decmin_rows(feas)
             assert sorted_dec(got) == best
             # returned vector satisfies the packing condition everywhere
             for mask in range(1, 1 << n):
@@ -494,12 +430,12 @@ class TestRootVectors:
             for x in range(1 << n):
                 for y in range(x):
                     assert p[x | y] + p[x & y] >= p[x] + p[y]
-            brute = sorted(brute_root_vectors(n, arcs, k))
-            assert (p[-1] == k) == bool(brute)
-            if brute:
+            want = sorted(map(tuple, brute.root_vectors(n, arcs, k).tolist()))
+            assert (p[-1] == k) == bool(want)
+            if want:
                 feasible += 1
-                pts = enumerate_integral_points(BaseHandle(oracle)).points
-                assert sorted(map(tuple, pts.tolist())) == brute
+                pts = brute.points(BaseHandle(oracle))
+                assert sorted(map(tuple, pts.tolist())) == want
         assert feasible >= 20
 
     def test_certificates_at_pi_star(self):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from decmin import brute
 from decmin.canonical import (
     CanonicalDecomposition,
     NotDecMinError,
@@ -20,7 +21,6 @@ from decmin.core import (
     NEG_INF,
     BaseHandle,
     TableOracle,
-    enumerate_integral_points,
     iter_masks,
     mask_of,
     member_tight_sets,
@@ -83,10 +83,10 @@ class TestCanonicalFromDecmin:
     def test_invariance_and_counts_random(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             decs = [canonical_from_decmin(handle, m) for m in pts[sel]]
             assert all(d == decs[0] for d in decs[1:])
             want = util.brute_canonical(oracle.table(), 4)
@@ -118,10 +118,10 @@ class TestDecminSetMembership:
     def test_equals_brute_decmin_set(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             D = canonical_from_decmin(handle, pts[sel][0])
             for m, good in zip(pts, sel):
                 assert decmin_set_membership(D, handle, m) == bool(good)
@@ -155,10 +155,10 @@ class TestBlockMatroids:
     def test_matches_literal_scan_and_brute_family(self):
         rng = np.random.default_rng(29)
         for _ in range(15):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             D = canonical_from_decmin(handle, pts[sel][0])
             tab = oracle.table()
             for i in range(D.q):
@@ -187,10 +187,10 @@ class TestBlockMatroids:
         # Delta*-shifted dec-min set satisfies basis exchange
         rng = np.random.default_rng(37)
         for _ in range(15):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             D = canonical_from_decmin(handle, pts[sel][0])
             family = []
             for m in pts[sel]:
@@ -213,10 +213,10 @@ class TestValueFixed:
     def test_matches_constant_coordinates(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             selected = pts[sel]
             D = canonical_from_decmin(handle, selected[0])
             for i in range(D.q):
@@ -271,7 +271,7 @@ class TestLinearExtension:
 
     def test_indicator_recovers_values(self):
         rng = np.random.default_rng(47)
-        p = util.random_supermodular_table(rng, 4)
+        p = brute.random_supermodular_table(rng, 4)
         for mask in iter_masks(4):
             chi = [1 if mask >> v & 1 else 0 for v in range(4)]
             assert linear_extension(p, chi) == p.value(mask)
@@ -299,7 +299,7 @@ class TestDualityGap:
     def test_min_max_equality_random(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             m = strongly_poly_decmin(handle)
             D = canonical_from_decmin(handle, m, check=False)
@@ -330,7 +330,7 @@ class TestVerifyDualOptimal:
     def test_pi_star_passes_and_is_smallest(self):
         rng = np.random.default_rng(59)
         for _ in range(15):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             m = strongly_poly_decmin(handle)
             D = canonical_from_decmin(handle, m, check=False)
@@ -350,15 +350,15 @@ class TestBoxAdaptation:
         rng = np.random.default_rng(67)
         hits = 0
         while hits < 12:
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             lo = rng.integers(-3, 1, size=4)
             hi = lo + rng.integers(1, 4, size=4)
             boxed = BaseHandle(oracle, lower=lo, upper=hi)
-            pts = enumerate_integral_points(boxed).points
+            pts = brute.points(boxed)
             if len(pts) == 0:
                 continue
             hits += 1
-            sel, _ = util.decmin_rows(pts)
+            sel, _ = brute.decmin_rows(pts)
             m = pts[sel][0]
             D_boxed = canonical_from_decmin(boxed, m)
             flat = BaseHandle(util.table_from_points(pts))
@@ -381,11 +381,11 @@ class TestCheapest:
     def test_matches_brute_random(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             cost = rng.integers(-4, 5, size=4)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             want = min(int(np.dot(m, cost)) for m in pts[sel])
             got = cheapest_decmin(handle, cost)
             assert decmin_set_membership(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from decmin.cli import main
@@ -25,7 +26,7 @@ def i1_table(tmp_path):
 
 @pytest.fixture()
 def r62_table(tmp_path):
-    from decmin.core import dump_table_json
+    from util import dump_table_json
 
     path = tmp_path / "r62.json"
     path.write_text(dump_table_json(util.r62_handle().oracle))
@@ -317,17 +318,11 @@ def test_text_format(i1_table, capsys):
     assert out.startswith("betas:")
 
 
-def test_brute_ceiling_env(tmp_path):
-    table = tmp_path / "i1.json"
-    table.write_text('{"n": 2, "values": {"1": 0, "2": 0, "3": 1}}')
-    env = dict(os.environ, DECMIN_BRUTE_CEILING="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "decmin.cli", "decmin", "--table", str(table)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 1  # ceiling of 1 forbids the 2-element scan
+def test_brute_ceiling_env(i1_table, capsys, monkeypatch):
+    monkeypatch.setattr("decmin.core.SUBSET_CEILING", 1)
+    code, _, err = run_cli(["decmin", "--table", i1_table], capsys)
+    assert code == 1  # ceiling of 1 forbids the 2-element scan
+    assert err == "error: a table on n=2 exceeds subset ceiling 1\n"
 
 
 def test_verify_switch_on_all_solvers(tmp_path, capsys):
@@ -362,3 +357,101 @@ def test_verify_switch_on_all_solvers(tmp_path, capsys):
         ["rootvec", "--digraph", str(rv), "--k", "1", "--verify"], capsys
     )
     assert code == 0
+
+
+def _c4_with_costs(tmp_path):
+    # arc u->v costs 0 and v->u costs 5: both directed cycles are dec-min,
+    # and only the one along the edges is cheapest
+    path = tmp_path / "c4cost.g"
+    path.write_text("p orient 4 4\n" + "".join(
+        f"e {u} {v} 1 1 0 5\n" for u, v in ((1, 2), (2, 3), (3, 4), (4, 1))))
+    return path
+
+
+@pytest.mark.parametrize("family", [
+    "decmin", "orient", "minT", "cheapest", "capacitated",
+    "semimatch", "matroid-sum", "megiddo", "rootvec",
+])
+def test_verify_catches_a_wrong_answer(family, tmp_path, capsys, monkeypatch):
+    from decmin import applications, engine, matroid, orientation
+
+    c4 = tmp_path / "c4.g"
+    c4.write_text("p orient 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
+    cases = {
+        "decmin": (
+            ["decmin", "--table", "r62"],
+            (engine, "strongly_poly_decmin", lambda B: np.array([3, 3, 3, 0])),
+            "brute force",
+        ),
+        "orient": (
+            ["orient", "--graph", str(c4)],
+            (orientation, "solve_orientation_spec",
+                   lambda G, spec: orientation.orient_with_indegrees(G, [2, 0, 1, 1])),
+            "the 2^m scan",
+        ),
+        "minT": (
+            ["orient", "--graph", str(c4), "--minT", "1"],
+            (orientation, "solve_orientation_spec",
+                   lambda G, spec: orientation.decmin_orientation(G)),
+            "the 2^m scan (T in-degree not minimum)",
+        ),
+        "cheapest": (
+            ["orient", "--graph", str(_c4_with_costs(tmp_path)), "--cheapest"],
+            (orientation, "solve_orientation_spec",
+                   lambda G, spec: orientation.Orientation(G, [u for u, _ in G.edges])),
+            "the 2^m scan (cost not minimum)",
+        ),
+        "capacitated": (
+            ["orient", "--graph", "edge5", "--capacitated"],
+            (orientation, "capacitated_decmin_orientation",
+                   lambda G: orientation.CapacitatedOrientation(G, [5])),
+            "the expanded graph",
+        ),
+        "semimatch": (
+            ["semimatch", "--instance", "sm"],
+            (applications, "decmin_semimatching",
+                   lambda P: applications.SemiMatchingResult(
+                       np.array([1, 0, 1]), np.array([2, 0]), np.array([1, 1]))),
+            "the exhaustive subgraph scan",
+        ),
+        "matroid-sum": (
+            ["matroid-sum", "--matroid", "tri", "--matroid", "tri"],
+            (matroid, "decmin_basis_sum",
+                   lambda mats, lower, upper: ([{0, 1}, {0, 1}], np.array([2, 2, 0]))),
+            "the basis-tuple scan",
+        ),
+        "megiddo": (
+            ["megiddo", "--instance", "meg"],
+            (applications, "megiddo_discrete",
+                   lambda P: applications.MegiddoResult(
+                       np.array([1, 1, 0]), np.array([2, 0]), [0, 1])),
+            "the exhaustive flow scan",
+        ),
+        "rootvec": (
+            ["rootvec", "--digraph", "c3x2", "--k", "2"],
+            (applications, "decmin_root_vector", lambda D, k: np.array([2, 0, 0])),
+            "the root-vector scan",
+        ),
+    }
+    files = {
+        "r62": util.dump_table_json(util.r62_handle().oracle),
+        "edge5": "p orient 2 1\ne 1 2 1 5\n",
+        "sm": '{"n_left": 2, "n_right": 2, "edges": [[0,0],[1,1],[0,1]]}',
+        "tri": '{"type": "graphic", "n_nodes": 3, "edges": [[0,1],[1,2],[2,0]]}',
+        "meg": "p digraph 3 3\na 1 3 1\na 1 3 1\na 2 3 1\nS: 1 2\nT: 3\n",
+        "c3x2": "p digraph 3 6\n" + "a 1 2\na 2 3\na 3 1\n" * 2,
+    }
+    # each stand-in solver returns a feasible answer that is not optimal
+    args, (module, name, fake), against = cases[family]
+    for j, arg in enumerate(args):
+        if arg in files:
+            path = tmp_path / arg
+            path.write_text(files[arg])
+            args[j] = str(path)
+    assert run_cli(args, capsys)[0] == 0
+    monkeypatch.setattr(module, name, fake)
+    assert run_cli(args, capsys)[0] == 0  # unchecked, the wrong answer stands
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--verify"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"verification mismatch against {against}\n"

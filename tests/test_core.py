@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from decmin import brute
 from decmin.engine import basic_decmin, initial_member, strongly_poly_decmin
 from decmin.orientation import GraphInducedOracle
 
@@ -11,7 +12,6 @@ from decmin.core import (
     BaseHandle,
     CeilingExceeded,
     EmptyBaseError,
-    GroundSet,
     Ordering,
     SetFunctionOracle,
     TableOracle,
@@ -19,9 +19,7 @@ from decmin.core import (
     complement,
     contract,
     dec_compare,
-    dump_table_json,
     effective_oracle,
-    enumerate_integral_points,
     exchange_feasible,
     inc_compare,
     is_member,
@@ -39,12 +37,12 @@ import util
 
 
 def test_ground_set_invariants():
-    g = GroundSet(("a", "b", "c"))
+    g = util.GroundSet(("a", "b", "c"))
     assert g.n == 3 and g.index("b") == 1
     with pytest.raises(ValueError):
-        GroundSet(())
+        util.GroundSet(())
     with pytest.raises(ValueError):
-        GroundSet(("a", "a"))
+        util.GroundSet(("a", "a"))
 
 
 class TestComparators:
@@ -117,6 +115,12 @@ class TestMembershipExchange:
         assert is_member(line, [2, -1])
         assert not is_member(line, [1, 1])
 
+    def test_big_table_checks_the_sum_exactly(self):
+        # 2 + (2^60 - 1) rounds to 2^60 in floats, but p(S) = 2^60 is off by one
+        big = BaseHandle(TableOracle([0, 0, 0, 2**60]))
+        assert not is_member(big, [2, 2**60 - 1])
+        assert is_member(big, [1, 2**60 - 1])
+
     def test_exchange_examples(self):
         i1 = util.i1_handle()
         assert exchange_feasible(i1, [0, 1], 0, 1)  # lands on (1, 0)
@@ -129,10 +133,10 @@ class TestMembershipExchange:
     def test_membership_oracle_inequalities_hold_on_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             tab = oracle.table()
-            pts = enumerate_integral_points(handle)
+            pts = brute.points(handle)
             for m in pts:
                 sums = [
                     sum(int(m[v]) for v in range(4) if mask >> v & 1)
@@ -155,11 +159,11 @@ class TestTightSets:
     def test_minimality_against_tight_lattice(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             tab = oracle.table()
-            pts = enumerate_integral_points(handle)
-            m = pts.points[0]
+            pts = brute.points(handle)
+            m = pts[0]
             for t in range(4):
                 T = smallest_tight_set(handle, m, t)
                 tight_sets = [
@@ -234,7 +238,7 @@ class TestTableKernels:
             # even cases restrict p to an ideal family (-inf entries);
             # case // 2 picks no box, a lower bound, an upper bound, both
             for case in range(8):
-                p = util.random_supermodular_table(rng, n, -wide, wide)
+                p = brute.random_supermodular_table(rng, n, -wide, wide)
                 m0 = np.array(_greedy_vertex(p, rng.permutation(n).tolist()))
                 if case % 2 == 0:
                     arcs = [tuple(rng.choice(n, 2, replace=False).tolist())
@@ -246,7 +250,7 @@ class TestTableKernels:
                 B = BaseHandle(p, lower=lower, upper=upper)
                 radius = 3 if n <= 4 else 2 if n <= 6 else 1
                 window = (m0 - radius, m0 + radius)
-                points = enumerate_integral_points(B, window).points
+                points = brute.points(B, window)
                 assert any((row == m0).all() for row in points)
                 for m in points:
                     expected = _exchange_sets(B, m)
@@ -284,10 +288,10 @@ class TestTableKernels:
 
     def test_table_respects_the_subset_ceiling(self, monkeypatch):
         p = TableOracle([0, 0, 0, 1])
-        monkeypatch.setenv("DECMIN_BRUTE_CEILING", "1")
+        monkeypatch.setattr("decmin.core.SUBSET_CEILING", 1)
         with pytest.raises(CeilingExceeded):
             p.table()
-        monkeypatch.setenv("DECMIN_BRUTE_CEILING", "2")
+        monkeypatch.setattr("decmin.core.SUBSET_CEILING", 2)
         assert p.table().tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
@@ -299,7 +303,7 @@ class TestWrappers:
         b = complement(p)
         assert b.value(1) == 1  # p(S) - p({1})
         # double contraction fuses
-        p4 = util.random_supermodular_table(np.random.default_rng(0), 4)
+        p4 = brute.random_supermodular_table(np.random.default_rng(0), 4)
         c12 = contract(contract(p4, {0}), {0})  # second {0} is old element 1
         c_both = contract(p4, {0, 1})
         assert [c12.value(m) for m in iter_masks(2)] == [
@@ -308,7 +312,7 @@ class TestWrappers:
 
     def test_complement_involution_pointwise(self):
         rng = np.random.default_rng(3)
-        p = util.random_supermodular_table(rng, 4)
+        p = brute.random_supermodular_table(rng, 4)
         double = complement(complement(p))
         for mask in iter_masks(4):
             assert double.value(mask) == p.value(mask)
@@ -471,7 +475,7 @@ class TestBoxedFunction:
         rng = np.random.default_rng(23)
         for _ in range(6):
             n = int(rng.integers(2, 6))
-            p = util.random_supermodular_table(rng, n)
+            p = brute.random_supermodular_table(rng, n)
             m = strongly_poly_decmin(BaseHandle(p))
             for lo, hi in ((None, m - 1), (m + 1, None), (m + 1, m + 2), (m - 3, m - 1)):
                 with pytest.raises(EmptyBaseError) as err:
@@ -491,7 +495,7 @@ class TestBoxedFunction:
                     solve(BaseHandle(p, lower=lo, upper=hi))
                 assert err.value.witness == {1 if lo else 0}
 
-    def test_boxed_handle_past_the_ceiling_allocates_nothing_first(self, monkeypatch):
+    def test_boxed_handle_past_the_ceiling_allocates_nothing_first(self):
         # a boxed graph-induced cycle past the ceiling solves by its flow
         # start, every in-degree 1; a set function with no start of its
         # own meets the ceiling before the 2^n boxed table is allocated
@@ -501,7 +505,6 @@ class TestBoxedFunction:
             def value(self, mask):
                 return bin(mask).count("1")
 
-        monkeypatch.delenv("DECMIN_BRUTE_CEILING", raising=False)
         n = 24
         g = GraphInducedOracle(n, [(v, (v + 1) % n) for v in range(n)])
         tracemalloc.start()
@@ -520,8 +523,8 @@ class TestBoxedFunction:
 
 class TestEnumeration:
     def test_line_box(self):
-        pts = enumerate_integral_points(util.line_handle(), ([-1, -1], [2, 2]))
-        assert sorted(map(tuple, pts.points)) == [
+        pts = brute.points(util.line_handle(), ([-1, -1], [2, 2]))
+        assert sorted(map(tuple, pts)) == [
             (-1, 2),
             (0, 1),
             (1, 0),
@@ -530,18 +533,18 @@ class TestEnumeration:
 
     def test_section34_instances(self):
         b1 = BaseHandle(util.table_from_points(util.SEC34_B1_POINTS))
-        got = {tuple(p) for p in enumerate_integral_points(b1).points}
+        got = {tuple(p) for p in brute.points(b1)}
         assert got == {tuple(p) for p in util.SEC34_B1_POINTS}
         b2 = BaseHandle(util.table_from_points(util.SEC34_B2_POINTS))
-        got2 = {tuple(p) for p in enumerate_integral_points(b2).points}
+        got2 = {tuple(p) for p in brute.points(b2)}
         assert got2 == {tuple(p) for p in util.SEC34_B2_POINTS}
 
     def test_remark62_instance(self):
-        got = {tuple(p) for p in enumerate_integral_points(util.r62_handle()).points}
+        got = {tuple(p) for p in brute.points(util.r62_handle())}
         assert got == {tuple(p) for p in util.R62_POINTS}
 
     def test_common_component_sum_invariant(self):
-        pts = enumerate_integral_points(util.r62_handle())
+        pts = brute.points(util.r62_handle())
         assert len({int(p.sum()) for p in pts}) == 1
 
 
@@ -555,12 +558,12 @@ class TestBoxFeasibility:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 3)
+            oracle = brute.random_supermodular_table(rng, 3)
             lo = rng.integers(-3, 1, size=3)
             hi = lo + rng.integers(0, 4, size=3)
             feasible = box_intersection_feasible(BaseHandle(oracle), lo, hi)
             boxed = BaseHandle(oracle, lower=lo, upper=hi)
-            assert feasible == (len(enumerate_integral_points(boxed)) > 0)
+            assert feasible == (len(brute.points(boxed)) > 0)
 
 
 def test_table_json_roundtrip():
@@ -568,7 +571,7 @@ def test_table_json_roundtrip():
     p = load_table_json(text)
     assert p.value(0) == 0 and p.value(1) == 0
     assert p.value(2) == NEG_INF and p.value(3) == 1
-    again = load_table_json(dump_table_json(p))
+    again = load_table_json(util.dump_table_json(p))
     assert [again.value(m) for m in iter_masks(2)] == [
         p.value(m) for m in iter_masks(2)
     ]

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from decmin import brute
 from decmin.core import (
     BaseHandle,
     EmptyBaseError,
     TableOracle,
-    enumerate_integral_points,
-    brute_decmin_set,
     is_member,
     mask_of,
     sorted_dec,
@@ -90,7 +89,7 @@ class TestOneTightening:
     def test_every_step_drops_square_sum_and_k_sums(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             m = initial_member(handle)
             while True:
@@ -115,9 +114,9 @@ class TestBasicDecmin:
     def test_matches_brute_on_random(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            _, best = brute_decmin_set(enumerate_integral_points(handle).points)
+            _, best = brute.decmin_rows(brute.points(handle))
             assert sorted_dec(basic_decmin(handle)) == best
 
 
@@ -159,7 +158,7 @@ class TestNewtonDinkelbach:
         rng = np.random.default_rng(41)
         card = _CardinalityOracle(4)
         for _ in range(30):
-            p = util.random_supermodular_table(rng, 4)
+            p = brute.random_supermodular_table(rng, 4)
             trace = newton_dinkelbach(p, card)
             assert trace.result == util.brute_nd(p.table(), 4)
             assert all(a < b for a, b in zip(trace.mus, trace.mus[1:]))
@@ -201,7 +200,7 @@ class TestBetaCovered:
         # below beta_1 the witness X has p(X) > beta |X|
         rng = np.random.default_rng(53)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 5)
+            oracle = brute.random_supermodular_table(rng, 5)
             beta = largest_essential_value(oracle) - 1
             with pytest.raises(EmptyBaseError) as info:
                 beta_covered_member(BaseHandle(oracle), beta)
@@ -211,7 +210,7 @@ class TestBetaCovered:
     def test_any_order_yields_member(self):
         rng = np.random.default_rng(51)
         for _ in range(10):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             beta = largest_essential_value(oracle)
             m = beta_covered_member(handle, beta)
@@ -239,7 +238,7 @@ class TestPreDecminAndPeak:
     def test_peak_matches_h1_scan(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
             data = util.brute_canonical(oracle.table(), 4)
             assert peak_set(handle, data["betas"][0]) == data["partition"][0]
@@ -255,24 +254,24 @@ class TestStronglyPoly:
     def test_matches_brute_random(self):
         rng = np.random.default_rng(71)
         for _ in range(25):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            _, best = brute_decmin_set(enumerate_integral_points(handle).points)
+            _, best = brute.decmin_rows(brute.points(handle))
             assert sorted_dec(strongly_poly_decmin(handle)) == best
 
     def test_boxed(self):
         rng = np.random.default_rng(81)
         hits = 0
         while hits < 10:
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             lo = rng.integers(-3, 1, size=4)
             hi = lo + rng.integers(1, 4, size=4)
             handle = BaseHandle(oracle, lower=lo, upper=hi)
-            pts = enumerate_integral_points(handle)
+            pts = brute.points(handle)
             if len(pts) == 0:
                 continue
             hits += 1
-            _, best = brute_decmin_set(pts.points)
+            _, best = brute.decmin_rows(pts)
             assert sorted_dec(strongly_poly_decmin(handle)) == best
 
 
@@ -289,9 +288,9 @@ class TestIsDecmin:
     def test_decmin_iff_incmax_brute(self):
         rng = np.random.default_rng(91)
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
-            pts = enumerate_integral_points(BaseHandle(oracle)).points
-            dec_sel, _ = util.decmin_rows(pts)
+            oracle = brute.random_supermodular_table(rng, 4)
+            pts = brute.points(BaseHandle(oracle))
+            dec_sel, _ = brute.decmin_rows(pts)
             inc_sel, _ = util.incmax_rows(pts)
             assert (dec_sel == inc_sel).all()
 
@@ -318,12 +317,12 @@ class TestKLargestOptimality:
     def test_decmin_minimizes_every_k_largest_sum(self):
         # any dec-min element solves min k-largest-sum for every k
         rng = np.random.default_rng(101)
-        from decmin.core import enumerate_integral_points, k_largest_sum
+        from decmin.core import k_largest_sum
 
         for _ in range(20):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
+            pts = brute.points(handle)
             m = strongly_poly_decmin(handle)
             for k in range(1, 5):
                 best = min(k_largest_sum(p, k) for p in pts)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decmin import matroid
+from decmin import brute, matroid
 from decmin.applications import SemiMatchingOracle, SemiMatchingProblem
 from decmin.canonical import canonical_from_decmin, decmin_set_membership
 from decmin.core import (
@@ -11,7 +11,6 @@ from decmin.core import (
     EmptyBaseError,
     SetFunctionOracle,
     TableOracle,
-    enumerate_integral_points,
     exchange_feasible,
     is_member,
     mask_of,
@@ -26,12 +25,10 @@ from decmin.matroid import (
     bases_matroid,
     decmin_basis_sum,
     decmin_partition_intersection,
-    dual_matroid,
     from_decomposition_matroid,
     graphic_matroid,
     load_matroid_json,
     matroid_intersection,
-    min_cost_basis,
     partition_matroid,
     uniform_matroid,
 )
@@ -43,6 +40,7 @@ from decmin.orientation import (
 )
 
 import util
+from util import dual_matroid, min_cost_basis
 
 
 def sec34_matroids():
@@ -213,20 +211,6 @@ class TestBasisSum:
             assert value_equivalent(got, rapid)
 
 
-def _bases(M):
-    return [frozenset(c) for c in itertools.combinations(range(M.n), M.rank())
-            if M.independent(c)]
-
-
-def _brute_sums(mats):
-    """Every sum of bases, one per matroid."""
-    sums = {(0,) * mats[0].n}
-    for M in mats:
-        fam = _bases(M)
-        sums = {tuple(x + (v in b) for v, x in enumerate(s)) for s in sums for b in fam}
-    return [np.array(s) for s in sums]
-
-
 def _check_bases(mats, bases, m):
     count = np.zeros(mats[0].n, dtype=np.int64)
     for M, b in zip(mats, bases):
@@ -253,7 +237,7 @@ def test_matroid_sum_tight_sets_match_table_scan(kind):
         try:
             _, m = decmin_basis_sum(mats, **box)
         except EmptyBaseError:
-            assert not any(ref.in_box(x) for x in _brute_sums(mats))
+            assert not any(ref.in_box(x) for x in brute.basis_sums(mats))
             continue
         B = BaseHandle(SumOfMatroidsOracle(mats), **box)
         steps = [(s, t) for s in range(n) for t in range(n)
@@ -349,7 +333,7 @@ def test_bounded_start_matches_brute():
         mats = [util.random_matroid(rng, n, kinds[int(rng.integers(0, 3))]) for _ in range(k)]
         lower = rng.integers(0, 2, n)
         upper = rng.integers(1, k + 1, n)
-        fits = [x for x in _brute_sums(mats)
+        fits = [x for x in brute.basis_sums(mats)
                 if np.all(x >= lower) and np.all(x <= upper)]
         if not fits:
             with pytest.raises(EmptyBaseError) as err:
@@ -430,7 +414,7 @@ def _small_oracles(kind, rng):
     made = 0
     while made < 20:
         if kind == "explicit-table":
-            oracle = util.random_supermodular_table(rng, int(rng.integers(2, 6)))
+            oracle = brute.random_supermodular_table(rng, int(rng.integers(2, 6)))
         elif kind == "orientation":
             G = util.random_multigraph(rng, max_nodes=6, max_edges=11)
             deg = G.degrees()
@@ -459,10 +443,10 @@ class TestFromDecomposition:
     def test_exchange_axiom_sampled(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            oracle = util.random_supermodular_table(rng, 4)
+            oracle = brute.random_supermodular_table(rng, 4)
             handle = BaseHandle(oracle)
-            pts = enumerate_integral_points(handle).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(handle)
+            sel, _ = brute.decmin_rows(pts)
             D = canonical_from_decmin(handle, pts[sel][0])
             for i in range(D.q):
                 Mi, block = from_decomposition_matroid(D, handle, i)
@@ -493,8 +477,8 @@ class TestFromDecomposition:
         for oracle in _small_oracles(kind, rng):
             handle = BaseHandle(oracle)
             table = TableOracle([oracle.value(x) for x in range(1 << oracle.n)])
-            pts = enumerate_integral_points(BaseHandle(table)).points
-            sel, _ = util.decmin_rows(pts)
+            pts = brute.points(BaseHandle(table))
+            sel, _ = brute.decmin_rows(pts)
             D = canonical_from_decmin(handle, basic_decmin(handle))
             for i in range(D.q):
                 Mi, block = from_decomposition_matroid(D, handle, i)
@@ -579,7 +563,7 @@ def test_matroid_json():
 
 
 def test_common_basis_problem():
-    from decmin.matroid import CommonBasisProblem, common_basis
+    from util import CommonBasisProblem, common_basis
 
     m1, m2 = sec34_matroids()
     got = common_basis(CommonBasisProblem(m1, m2))

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from decmin import brute
 from decmin.canonical import (
+    NotDecMinError,
     canonical_from_decmin,
     decmin_set_membership,
     duality_gap,
@@ -17,7 +19,7 @@ from decmin.orientation import (
     Graph,
     GraphInducedOracle,
     InfeasibleOrientationError,
-    NotDecMinOrientationError,
+    Orientation,
     OrientationOracle,
     OrientationSpec,
     capacitated_decmin_orientation,
@@ -78,7 +80,7 @@ class TestOrientWithIndegrees:
         rng = np.random.default_rng(3)
         for _ in range(15):
             G = util.random_multigraph(rng, max_nodes=5, max_edges=8)
-            scan = util.orientation_scan(G)
+            scan = brute.orientations(G)[1]
             m = scan[int(rng.integers(0, scan.shape[0]))]
             o = orient_with_indegrees(G, m)
             assert (o.indeg == m).all()
@@ -94,7 +96,7 @@ class TestDecminOrientation:
         rng = np.random.default_rng(11)
         for _ in range(12):
             G = util.random_multigraph(rng, max_nodes=5, max_edges=8)
-            _, best = util.decmin_rows(util.orientation_scan(G))
+            _, best = brute.decmin_rows(brute.orientations(G)[1])
             assert sorted_dec(decmin_orientation(G).indeg) == best
 
 
@@ -134,15 +136,14 @@ class TestBounded:
             deg = G.degrees()
             lo = np.minimum(rng.integers(0, 2, size=G.n), deg)
             hi = np.minimum(lo + rng.integers(0, 3, size=G.n), deg)
-            scan = util.orientation_scan(G)
-            ok = np.all(scan >= lo, axis=1) & np.all(scan <= hi, axis=1)
-            if not ok.any():
+            scan = brute.orientations(G, lo, hi)[1]
+            if not len(scan):
                 with pytest.raises(InfeasibleOrientationError) as exc:
                     decmin_orientation_bounded(G, lo, hi)
                 assert _witness_violates(G, lo, hi, exc.value.witness)
                 continue
             done += 1
-            _, best = util.decmin_rows(scan[ok])
+            _, best = brute.decmin_rows(scan)
             assert sorted_dec(decmin_orientation_bounded(G, lo, hi).indeg) == best
 
     def test_tspec(self):
@@ -196,8 +197,7 @@ def test_orientation_oracle_value_is_least_indegree_sum():
         if trial % 3:
             lo, hi = rng.integers(0, 2, size=G.n), deg - rng.integers(0, 2, size=G.n)
         oracle = OrientationOracle(G.n, G.edges, None, lo, hi)
-        scan = util.orientation_scan(G)
-        rows = scan[np.all(scan >= lo, axis=1) & np.all(scan <= hi, axis=1)]
+        rows = brute.orientations(G, lo, hi)[1]
         if not len(rows):
             empty += 1
             with pytest.raises(EmptyBaseError) as exc:
@@ -264,7 +264,7 @@ class TestOrientationCanonical:
     def test_rejects_non_decmin(self):
         path = util.path_graph()
         bad = orient_with_indegrees(path, [0, 2, 0])
-        with pytest.raises(NotDecMinOrientationError):
+        with pytest.raises(NotDecMinError):
             orientation_canonical(path, bad)
 
     def test_matches_generic_canonical_on_ig_oracle(self):
@@ -285,9 +285,7 @@ class TestOrientationCanonical:
             deg = G.degrees()
             lo = np.zeros(G.n, dtype=np.int64)
             hi = np.minimum(1 + rng.integers(0, 2, size=G.n), deg)
-            scan = util.orientation_scan(G)
-            ok = np.all(scan >= lo, axis=1) & np.all(scan <= hi, axis=1)
-            if not ok.any():
+            if not len(brute.orientations(G, lo, hi)[1]):
                 continue
             done += 1
             o = decmin_orientation_bounded(G, lo, hi)
@@ -348,22 +346,16 @@ class TestCheapest:
         for trial in range(16):
             G = util.random_multigraph(rng, max_nodes=5, max_edges=7)
             cost = [tuple(int(x) for x in rng.integers(-5, 10, size=2)) for _ in G.edges]
-            scan = util.orientation_scan(G)
-            codes = np.arange(scan.shape[0])
             upper = None
             if trial % 2:
                 upper = np.minimum(G.degrees(), rng.integers(1, 4, size=G.n))
-                ok = np.all(scan <= upper, axis=1)
-                scan, codes = scan[ok], codes[ok]
-            if not len(codes):
+            heads, scan = brute.orientations(G, hi=upper)
+            if not len(scan):
                 with pytest.raises(InfeasibleOrientationError):
                     cheapest_decmin_orientation_bounded(G, None, upper, cost)
                 continue
-            sel, best = util.decmin_rows(scan)
-            want = min(
-                orientation_cost(util.orientation_from_code(G, int(code)), cost)
-                for code in codes[sel]
-            )
+            sel, best = brute.decmin_rows(scan)
+            want = min(orientation_cost(Orientation(G, h), cost) for h in heads[sel])
             got = cheapest_decmin_orientation_bounded(G, None, upper, cost)
             assert sorted_dec(got.indeg) == best
             assert orientation_cost(got, cost) == want
@@ -385,10 +377,10 @@ class TestInOut:
         answered = 0
         for _ in range(200):
             G = util.random_multigraph(rng, max_nodes=6, max_edges=10)
-            scan = util.orientation_scan(G)
+            scan = brute.orientations(G)[1]
             deg = G.degrees()
-            in_sel, best_in = util.decmin_rows(scan)
-            out_sel, best_out = util.decmin_rows(deg[None, :] - scan)
+            in_sel, best_in = brute.decmin_rows(scan)
+            out_sel, best_out = brute.decmin_rows(deg[None, :] - scan)
             got = inout_decmin_orientation(G)
             assert (got is not None) == bool((in_sel & out_sel).any())
             if got is not None:
@@ -440,9 +432,7 @@ class TestMinT:
             lo = pick.integers(0, deg // 2 + 2)
             hi = np.maximum(lo, deg - pick.integers(0, 3, size=G.n))
             for lower, upper in ((None, None), (lo, hi)):
-                scan = util.orientation_scan(G)
-                if lower is not None:
-                    scan = scan[((scan >= lower) & (scan <= upper)).all(axis=1)]
+                scan = brute.orientations(G, lower, upper)[1]
                 if not len(scan):
                     with pytest.raises(InfeasibleOrientationError):
                         decmin_orientation_minT(G, lower, upper, T)
@@ -450,7 +440,7 @@ class TestMinT:
                     continue
                 tsums = scan[:, sorted(T)].sum(axis=1)
                 keep = tsums == tsums.min()
-                _, best = util.decmin_rows(scan[keep])
+                _, best = brute.decmin_rows(scan[keep])
                 got = decmin_orientation_minT(G, lower, upper, T)
                 assert lower is None or ((lower <= got.indeg) & (got.indeg <= upper)).all()
                 assert int(got.indeg[sorted(T)].sum()) == int(tsums.min())
@@ -478,18 +468,13 @@ class TestKConnected:
         while done < 8:
             G = util.random_multigraph(rng, max_nodes=4, max_edges=8)
             k = int(rng.integers(1, 3))
-            scan = util.orientation_scan(G)
-            feas = [
-                code
-                for code in range(scan.shape[0])
-                if util.is_k_connected_code(G, code, k)
-            ]
-            if not feas:
+            scan = brute.orientations(G, k=k)[1]
+            if not len(scan):
                 with pytest.raises(InfeasibleOrientationError):
                     decmin_korient(G, k)
                 continue
             done += 1
-            _, best = util.decmin_rows(scan[feas])
+            _, best = brute.decmin_rows(scan)
             got = decmin_korient(G, k)
             assert sorted_dec(got.indeg) == best
 
@@ -514,7 +499,7 @@ class TestCapacitated:
             got = capacitated_decmin_orientation(cap_graph)
             expanded = cap_graph.expand()
             if expanded.m <= 12:
-                _, best = util.decmin_rows(util.orientation_scan(expanded))
+                _, best = brute.decmin_rows(brute.orientations(expanded)[1])
                 assert sorted_dec(got.indeg) == best
 
     def test_requires_capacities(self):
@@ -549,7 +534,7 @@ def test_graph_induced_fast_path_matches_table():
         G = util.random_multigraph(rng, max_nodes=5, max_edges=7)
         handle = BaseHandle(G.induced_oracle())
         tab = handle.oracle.table()
-        scan = util.orientation_scan(G)
+        scan = brute.orientations(G)[1]
         member = scan[int(rng.integers(0, scan.shape[0]))]
         probe = member.copy()
         probe[0] += 1
@@ -595,7 +580,7 @@ def test_decmin_orientation_is_incmax():
 
     for _ in range(10):
         G = util.random_multigraph(rng, max_nodes=5, max_edges=8)
-        scan = util.orientation_scan(G)
+        scan = brute.orientations(G)[1]
         _, best_inc = util.incmax_rows(scan)
         got = decmin_orientation(G)
         assert sorted_inc(got.indeg) == best_inc

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from decmin import core, netflow, orientation
+from decmin import brute, core, netflow, orientation
 from decmin.applications import (
     MegiddoOracle,
     MegiddoProblem,
@@ -178,8 +178,9 @@ def test_reader_matches_table_scan(kind, monkeypatch):
     # register a membership test through their exchange branch
     rng = np.random.default_rng(53)
     queries = zero_entries = 0
+    ceiling = core.SUBSET_CEILING
     for oracle in INSTANCES[kind](rng):
-        monkeypatch.delenv("DECMIN_BRUTE_CEILING", raising=False)
+        monkeypatch.setattr(core, "SUBSET_CEILING", ceiling)
         n = oracle.n
         table = TableOracle([oracle.value(x) for x in range(1 << n)])
         table.table()
@@ -191,7 +192,7 @@ def test_reader_matches_table_scan(kind, monkeypatch):
                       "upper": members[0] + rng.integers(0, 2, size=n)}]
         for low_ceiling in (False, True):
             if low_ceiling:
-                monkeypatch.setenv("DECMIN_BRUTE_CEILING", "1")
+                monkeypatch.setattr(core, "SUBSET_CEILING", 1)
             for box in boxes:
                 B = BaseHandle(oracle, **box)
                 ref = BaseHandle(table, **box)
@@ -574,7 +575,7 @@ def _skip_instances(kind, rng):
         yield from INSTANCES[kind](rng)
         return
     for _ in range(12):
-        yield util.random_supermodular_table(rng, int(rng.integers(2, 7)))
+        yield brute.random_supermodular_table(rng, int(rng.integers(2, 7)))
 
 
 SKIP_KINDS = sorted(core._READERS) + ["explicit-table"]

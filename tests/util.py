@@ -1,31 +1,33 @@
-"""Shared test helpers: independent brute-force oracles and instance
-generators.  Everything here works from first definitions (exhaustive
-scans over subsets, points, or orientations), never through the solver
-code paths it is used to check."""
+"""Shared test helpers: instances, engine-level brute-force references
+and the public helpers only the tests call.  The exhaustive scans of each
+problem family live in decmin.brute; everything here also works from
+first definitions, never through the solver code paths it is used to
+check."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from decmin.core import (
     NEG_INF,
     BaseHandle,
+    SetFunctionOracle,
     TableOracle,
     iter_masks,
     mask_of,
     popcounts,
-    sorted_dec,
     sorted_inc,
 )
 from decmin.matroid import (
     MatroidOracle,
     bases_matroid,
-    dual_matroid,
     graphic_matroid,
-    min_cost_basis,
+    matroid_intersection,
     partition_matroid,
     uniform_matroid,
 )
@@ -111,28 +113,6 @@ def triangle_graph() -> Graph:
 # ---------------------------------------------------------------------------
 # random instance generators (all deterministic via the caller's rng)
 # ---------------------------------------------------------------------------
-
-
-def random_supermodular_table(rng, n: int, low=-4, high=4) -> TableOracle:
-    """Constructive supermodular generator: a modular part plus nonnegative
-    multiples of superset indicators; resampled until every value lies in
-    [low, high]."""
-    for _ in range(1000):
-        weights = rng.integers(-2, 3, size=n)
-        terms = []
-        for _ in range(int(rng.integers(1, 4))):
-            size = int(rng.integers(2, n + 1))
-            members = rng.choice(n, size=size, replace=False)
-            terms.append((mask_of(int(v) for v in members), int(rng.integers(1, 3))))
-        vals = []
-        for mask in iter_masks(n):
-            total = sum(int(weights[v]) for v in range(n) if mask >> v & 1)
-            total += sum(a for tm, a in terms if mask & tm == tm)
-            vals.append(total)
-        vals[0] = 0
-        if all(low <= v <= high for v in vals):
-            return TableOracle(vals)
-    raise RuntimeError("generator failed to hit the value range")
 
 
 def random_matroid(rng, n: int, kind: str) -> MatroidOracle:
@@ -236,33 +216,6 @@ def max_sendable(P) -> int:
     return max_flow(Digraph(D.n + 2, arcs, caps), sigma, tau)[0]
 
 
-def orientation_scan(G: Graph) -> np.ndarray:
-    """In-degree vectors of all 2^m orientations, row per head-code."""
-    m = G.m
-    codes = np.arange(1 << m, dtype=np.int64)
-    deg = np.zeros((1 << m, G.n), dtype=np.int64)
-    for j, (u, v) in enumerate(G.edges):
-        bit = (codes >> j) & 1
-        deg[:, v] += bit
-        deg[:, u] += 1 - bit
-    return deg
-
-
-def orientation_from_code(G: Graph, code: int) -> Orientation:
-    heads = np.array(
-        [v if code >> j & 1 else u for j, (u, v) in enumerate(G.edges)],
-        dtype=np.int64,
-    )
-    return Orientation(G, heads)
-
-
-def decmin_rows(rows: np.ndarray) -> tuple:
-    """(boolean selector of dec-min rows, optimal signature)."""
-    sigs = [sorted_dec(r) for r in rows]
-    best = min(sigs)
-    return np.array([s == best for s in sigs]), best
-
-
 def incmax_rows(rows: np.ndarray) -> tuple:
     sigs = [sorted_inc(r) for r in rows]
     best = max(sigs)
@@ -301,20 +254,6 @@ def has_improving_dipath_brute(
                 continue
             return True
     return False
-
-
-def is_k_connected_code(G: Graph, code: int, k: int) -> bool:
-    from decmin.netflow import arc_disjoint_paths_at_least
-
-    if k == 0:
-        return True
-    D = orientation_from_code(G, code).digraph()
-    for v in range(1, G.n):
-        if not arc_disjoint_paths_at_least(D, 0, v, k):
-            return False
-        if not arc_disjoint_paths_at_least(D, v, 0, k):
-            return False
-    return True
 
 
 def brute_nd(tab: np.ndarray, n: int) -> int:
@@ -493,3 +432,84 @@ def levin_onn_decmin_sum(M: MatroidOracle, k: int, graph=None):
     for idx in basis:
         out[idx // k] += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# helpers on the public objects that no solver calls
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GroundSet:
+    """A finite non-empty ground set with distinct external labels."""
+
+    labels: tuple
+
+    def __post_init__(self):
+        if len(self.labels) == 0:
+            raise ValueError("ground set must be non-empty")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("labels must be distinct")
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def index(self, label) -> int:
+        return self.labels.index(label)
+
+
+def dump_table_json(p: SetFunctionOracle) -> str:
+    """The table format that decmin.core.load_table_json reads."""
+    values = {}
+    for mask in iter_masks(p.n):
+        v = p.value(mask)
+        if mask == 0:
+            continue
+        values[str(mask)] = "-inf" if v == NEG_INF else int(v)
+    return json.dumps({"n": p.n, "values": values})
+
+
+def dual_matroid(M: MatroidOracle) -> MatroidOracle:
+    full = M.rank()
+    ground = frozenset(range(M.n))
+
+    def indep(X):
+        return M.rank(ground - X) == full
+
+    return MatroidOracle(M.n, indep, f"dual({M.name})")
+
+
+@dataclass
+class CommonBasisProblem:
+    """Two matroid oracles on one ground set; solved by intersection."""
+
+    first: MatroidOracle
+    second: MatroidOracle
+
+    def __post_init__(self):
+        if self.first.n != self.second.n:
+            raise ValueError("matroids must share a ground set")
+
+
+def common_basis(problem: CommonBasisProblem):
+    """A common basis of the two matroids, or None when sizes fall short."""
+    got = matroid_intersection(problem.first, problem.second)
+    if len(got) == problem.first.rank() == problem.second.rank():
+        return got
+    return None
+
+
+def min_cost_basis(M: MatroidOracle, cost) -> frozenset:
+    """Greedy minimum-cost basis (ascending cost, ties by index)."""
+    cost = list(cost)
+    if len(cost) != M.n:
+        raise ValueError("one cost per element required")
+    order = sorted(range(M.n), key=lambda v: (cost[v], v))
+    cur: set = set()
+    for v in order:
+        if M.independent(cur | {v}):
+            cur.add(v)
+    if len(cur) != M.rank():
+        raise ValueError("matroid has no basis of full rank")
+    return frozenset(cur)
